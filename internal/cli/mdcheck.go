@@ -2,6 +2,8 @@ package cli
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -23,6 +25,9 @@ import (
 // It is deliberately a linter, not a parser: links inside fenced code
 // blocks are ignored, reference-style links ([text][ref]) are not used in
 // this repo and therefore not resolved.
+//
+// Go comments get the same care (CheckGoDocRefs): a comment that names a
+// markdown file must name one that exists.
 
 // mdLink is one checkable link occurrence.
 type mdLink struct {
@@ -43,6 +48,10 @@ var (
 	// mdSpan strips inline markup from heading text before slugging:
 	// emphasis and code fences around words, and the label part of links.
 	mdSpan = regexp.MustCompile("[`*]|\\[([^\\]]*)\\]\\([^)]*\\)")
+	// mdName matches a markdown file name in comment text: a path ending
+	// in ".md". It takes in ':' only so that URLs match whole and can be
+	// skipped; a glob such as "*.md" does not match.
+	mdName = regexp.MustCompile(`[\w.:/-]*[\w-]\.md\b`)
 )
 
 // HeadingSlug returns the GitHub anchor for a heading's text: markup
@@ -173,4 +182,55 @@ func CheckMarkdownLinks(files []string) ([]string, error) {
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// CheckGoDocRefs reads the comments of the given Go files and returns one
+// "file:line: problem" string for every markdown file a comment names that
+// does not exist. A name resolves when it exists relative to the Go file's
+// directory or any directory above it, so a package's own README.md and a
+// repository-root docs/API.md both resolve. URLs are skipped.
+func CheckGoDocRefs(files []string) ([]string, error) {
+	var problems []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		fset := token.NewFileSet()
+		var s scanner.Scanner
+		s.Init(fset.AddFile(f, -1, len(src)), src, nil, scanner.ScanComments)
+		for {
+			pos, tok, lit := s.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.COMMENT {
+				continue
+			}
+			line := fset.Position(pos).Line
+			for i, text := range strings.Split(lit, "\n") {
+				for _, name := range mdName.FindAllString(text, -1) {
+					if !strings.Contains(name, "://") && !existsAbove(filepath.Dir(f), name) {
+						problems = append(problems, fmt.Sprintf("%s:%d: comment names %s, which does not exist", f, line+i, name))
+					}
+				}
+			}
+		}
+	}
+	return problems, nil
+}
+
+// existsAbove reports whether name exists relative to dir or any
+// directory above it.
+func existsAbove(dir, name string) bool {
+	for {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return true
+		}
+		up := filepath.Dir(dir)
+		if up == dir {
+			return false
+		}
+		dir = up
+	}
 }

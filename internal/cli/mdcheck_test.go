@@ -36,8 +36,9 @@ func TestMdAnchorsDuplicatesAndFences(t *testing.T) {
 	}
 }
 
-// writeTree lays out a throwaway doc tree and returns the file paths.
-func writeTree(t *testing.T, files map[string]string) []string {
+// writeTree lays out a throwaway doc tree and returns its root and the
+// paths of its markdown files.
+func writeTree(t *testing.T, files map[string]string) (string, []string) {
 	t.Helper()
 	dir := t.TempDir()
 	var out []string
@@ -53,11 +54,11 @@ func writeTree(t *testing.T, files map[string]string) []string {
 			out = append(out, p)
 		}
 	}
-	return out
+	return dir, out
 }
 
 func TestCheckMarkdownLinksClean(t *testing.T) {
-	files := writeTree(t, map[string]string{
+	_, files := writeTree(t, map[string]string{
 		"README.md": "# Readme\n\nSee [docs](docs/GUIDE.md#part-two) and [self](#readme).\n" +
 			"External [site](https://example.com/x#y) is skipped.\n" +
 			"```\n[broken](inside/fence.md) is ignored\n```\n",
@@ -73,7 +74,7 @@ func TestCheckMarkdownLinksClean(t *testing.T) {
 }
 
 func TestCheckMarkdownLinksBroken(t *testing.T) {
-	files := writeTree(t, map[string]string{
+	_, files := writeTree(t, map[string]string{
 		"README.md":     "# Readme\n\n[gone](docs/MISSING.md)\n[bad anchor](docs/GUIDE.md#nope)\n[bad self](#nothere)\n",
 		"docs/GUIDE.md": "# Guide\n",
 	})
@@ -117,6 +118,76 @@ func TestRepoDocsLinksAreValid(t *testing.T) {
 		t.Fatalf("expected README + ≥3 docs files, found %v", files)
 	}
 	problems, err := CheckMarkdownLinks(files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+func TestCheckGoDocRefs(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want []string // problems, after the Go file's path
+	}{
+		{"root-relative doc", "// See docs/API.md.\npackage sub\n", nil},
+		{"package-relative doc", "// NOTES.md has the details.\npackage sub\n", nil},
+		{"parent-relative doc", "// See ../../README.md#intro.\npackage sub\n", nil},
+		{"missing doc", "package sub\n\n// See DESIGN.md for the mapping.\nvar x int\n",
+			[]string{":3: comment names DESIGN.md, which does not exist"}},
+		{"missing doc on a later line of a block comment", "/*\nIntro.\nSee docs/GONE.md.\n*/\npackage sub\n",
+			[]string{":3: comment names docs/GONE.md, which does not exist"}},
+		{"two names on one line", "// A.md, then NOTES.md, then B.md\npackage sub\n",
+			[]string{":1: comment names A.md, which does not exist", ":1: comment names B.md, which does not exist"}},
+		{"string literal is not a comment", "package sub\n\nvar s = \"GONE.md\"\n", nil},
+		{"URLs and globs are skipped", "// https://example.com/GONE.md lists *.md files\npackage sub\n", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir, _ := writeTree(t, map[string]string{
+				"README.md":        "# Intro\n",
+				"docs/API.md":      "# API\n",
+				"pkg/sub/NOTES.md": "# Notes\n",
+				"pkg/sub/x.go":     c.src,
+			})
+			goFile := filepath.Join(dir, "pkg", "sub", "x.go")
+			problems, err := CheckGoDocRefs([]string{goFile})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for _, p := range problems {
+				got = append(got, strings.TrimPrefix(p, goFile))
+			}
+			if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
+				t.Errorf("problems = %q, want %q", got, c.want)
+			}
+		})
+	}
+}
+
+// TestRepoGoDocRefsAreValid runs the comment check over the repo's own Go
+// files, as the CI lint step does.
+func TestRepoGoDocRefsAreValid(t *testing.T) {
+	var files []string
+	err := filepath.WalkDir("../..", func(p string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "../.." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(p, ".go") {
+			files = append(files, p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := CheckGoDocRefs(files)
 	if err != nil {
 		t.Fatal(err)
 	}

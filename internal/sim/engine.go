@@ -183,14 +183,15 @@ func (s *sim) handle(sh *shard, e event) {
 // engine fires wake side effects (modem up, switch remap), so set
 // membership mirrors "the modem is not sleeping".
 //
-// It also performs the lazy-sampling catch-up: while g slept, the dense
-// pre-refactor tick loop would have kept observing g's (unchanging) SN
-// counter, leaving the estimator primed at the last tick. Observing once at
-// that tick's time reproduces the identical estimator state — the skipped
-// zero-frame samples are invisible to Utilization and ActiveWithin. If no
-// tick fired since the estimator's reset, the dense loop would have left it
-// unprimed, so neither do we. (tickCount/lastTickT advance only at epoch
-// barriers, so shard lanes read a stable snapshot mid-phase.)
+// When the scheme reads load estimators (needLoad), it also performs the
+// lazy-sampling catch-up: while g slept, the dense pre-refactor tick loop
+// would have kept observing g's (unchanging) SN counter, leaving the
+// estimator primed at the last tick. Observing once at that tick's time
+// reproduces the identical estimator state — the skipped zero-frame
+// samples are invisible to Utilization and ActiveWithin. If no tick fired
+// since the estimator's reset, the dense loop would have left it unprimed,
+// so neither do we. (tickCount/lastTickT advance only at epoch barriers,
+// so shard lanes read a stable snapshot mid-phase.)
 func (s *sim) awaken(sh *shard, g *gateway) {
 	l := g.id - sh.lo
 	w, b := l>>6, uint64(1)<<(uint(l)&63)
@@ -199,7 +200,7 @@ func (s *sim) awaken(sh *shard, g *gateway) {
 	}
 	sh.bits[w] |= b
 	sh.awakeN++
-	if s.tickCount > g.estResetTick {
+	if s.needLoad && s.tickCount > g.estResetTick {
 		g.est.Observe(s.lastTickT, g.sn.Value())
 	}
 }
@@ -585,9 +586,13 @@ func (s *sim) tick() {
 				if !prepped {
 					g.ctl.Advance(s.now)
 					// The estimator needs service progress up to now, not
-					// just up to the last transport event.
+					// just up to the last transport event. Schemes that
+					// sample no load elapse here too: where the service
+					// intervals split shows in every pinned result.
 					s.elapse(g, s.now)
-					g.est.Observe(s.now, g.sn.Value())
+					if s.needLoad {
+						g.est.Observe(s.now, g.sn.Value())
+					}
 				}
 				if s.weight == nil {
 					if g.ctl.State() != power.Sleeping {
@@ -653,7 +658,9 @@ func (s *sim) tickPrepRange(sh *shard, w0, w1 int, now float64) {
 			word &= word - 1
 			g.ctl.Advance(now)
 			s.elapse(g, now)
-			g.est.Observe(now, g.sn.Value())
+			if s.needLoad {
+				g.est.Observe(now, g.sn.Value())
+			}
 		}
 	}
 }

@@ -274,3 +274,42 @@ func TestEventHeapOrdering(t *testing.T) {
 		t.Fatal("wrong head")
 	}
 }
+
+// TestLoadSamplingOnlyWhenRead pins the tick's load-estimator gate: only
+// BH² reads gateway load estimators, so only a BH² run leaves samples in
+// them. Serial, parallel-tick and sharded runs go through different
+// sampling sites; the goldens pin that the BH² results are unchanged.
+func TestLoadSamplingOnlyWhenRead(t *testing.T) {
+	tr, tp, shelf := cityScenario(t, 5)
+	for _, shards := range []int{0, 2} {
+		for _, sc := range []Scheme{NoSleep, SoI, SoIKSwitch, SoIFullSwitch, BH2KSwitch, BH2FullSwitch, BH2NoBackup, Optimal, Centralized} {
+			if shards > 0 && (sc == Optimal || sc == Centralized) {
+				continue // serial engine at every shard count
+			}
+			// A resolve every 5 minutes keeps the coordinated schemes'
+			// solves (their whole cost here) to three per run.
+			cfg, err := Config{Trace: tr, Topo: tp, Scheme: sc, Seed: 5, DSLAM: shelf, K: 4, Shards: shards, OptimalEvery: 300}.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := newSim(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.run()
+			sampled := 0
+			for i := range s.gws {
+				if s.gws[i].est.ActiveWithin(s.end, math.Inf(1)) {
+					sampled++
+				}
+			}
+			reads := sc == BH2KSwitch || sc == BH2FullSwitch || sc == BH2NoBackup
+			if reads && sampled == 0 {
+				t.Errorf("%v shards=%d: no gateway's estimator holds a traffic sample", sc, shards)
+			}
+			if !reads && sampled > 0 {
+				t.Errorf("%v shards=%d: %d gateways sampled load nothing reads", sc, shards, sampled)
+			}
+		}
+	}
+}

@@ -51,6 +51,10 @@ type strategy interface {
 	// counters (sim.clientBytes); the engine skips that accounting — and
 	// keeps the parallel tick free of shared writes — when it does not.
 	usesDemand() bool
+	// usesLoad reports whether the scheme reads the gateways' load
+	// estimators (gateway.est); the engine samples them every tick only
+	// when it does.
+	usesLoad() bool
 }
 
 // newStrategy maps a Scheme constant to its strategy implementation.
@@ -93,6 +97,7 @@ func (baseScheme) onFailure(*sim, int, bool)              {}
 func (baseScheme) sleepCards() bool                       { return true }
 func (baseScheme) parallelMode() engineMode               { return modeSerial }
 func (baseScheme) usesDemand() bool                       { return false }
+func (baseScheme) usesLoad() bool                         { return false }
 
 // fabric selects the DSLAM switch model a scheme runs over (§4).
 type fabric int

@@ -26,6 +26,9 @@ func (sc bh2Scheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 // work parallelizes.
 func (bh2Scheme) parallelMode() engineMode { return modeTick }
 
+// Terminals decide from the estimated loads of the gateways in range.
+func (bh2Scheme) usesLoad() bool { return true }
+
 // seedEvents spreads the first decision of every terminal uniformly over
 // one period so the population never decides in lockstep.
 func (sc bh2Scheme) seedEvents(s *sim) {

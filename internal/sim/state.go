@@ -198,6 +198,9 @@ type sim struct {
 	// hot transport path skips the accumulation — and the parallel tick
 	// never writes shared state — for every other scheme.
 	needDemand bool
+	// needLoad gates the per-tick load-estimator sampling: only BH²
+	// terminals read the estimators.
+	needLoad bool
 
 	tickCount int64   // ticks fired so far
 	lastTickT float64 // time of the most recent tick
@@ -284,6 +287,7 @@ func newSim(cfg Config) (*sim, error) {
 		s.mode = modeTick
 	}
 	s.needDemand = strat.usesDemand()
+	s.needLoad = strat.usesLoad()
 
 	bins := int(end / cfg.SampleEvery)
 	s.powerTS = stats.NewTimeSeries(0, end, bins)

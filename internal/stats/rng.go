@@ -8,8 +8,18 @@ import (
 // NewRNG returns a deterministic PRNG for the given experiment seed and
 // stream label. Distinct labels give independent streams, so a simulation
 // can hand sub-seeds to its components without coupling their draws.
+//
+// The generator draws exactly what rand.New(rand.NewSource(...)) would for
+// the same mixed seed, but seeds about 4x faster (see source). Like
+// math/rand, it folds the 64-bit mixed seed to one of 2³¹−1 states, so two
+// labels can collide: the per-client streams of a 100k-client trace
+// include one to four pairs of identical streams (trace seeds 1, 2 and 5
+// give 4, 1 and 1 pairs). That is left as is because widening the seed
+// would change every trace.
 func NewRNG(seed int64, stream uint64) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ int64(splitmix64(stream))))
+	src := new(source)
+	src.Seed(seed ^ int64(splitmix64(stream)))
+	return rand.New(src)
 }
 
 // Reseed re-seeds r in place to the exact state a fresh

@@ -243,9 +243,12 @@ func Generate(cfg Config) (*Trace, error) {
 	}
 
 	// One generator reseeded per client instead of one allocated per
-	// client: math/rand's source alone is ~5 KB, which at city scale
-	// (100k clients) accounted for most of the generator's heap churn.
-	// Reseed reproduces NewRNG's state exactly, so traces are unchanged.
+	// client: the source's state is ~5 KB, which at city scale (100k
+	// clients) would be most of the generator's heap churn. A re-seed
+	// computes the 607 state words independently rather than walking
+	// math/rand's 1,841-step serial chain, and costs about 3 µs on a
+	// 2-CPU Xeon VM (BenchmarkReseed in internal/stats). It reproduces
+	// NewRNG's state exactly, so traces are unchanged.
 	r := stats.NewRNG(cfg.Seed, 0x1000)
 	for c := 0; c < cfg.Clients; c++ {
 		key := uint64(c)
