@@ -170,8 +170,8 @@ func cmdRun(args []string) {
 			log.Printf("wrote %s", a)
 		}
 	}
-	log.Printf("%s: %d cells (%d simulated, %d resumed), %d artifact(s) in %s",
-		plan.Spec.Name, len(res.Rows), res.Ran, res.Skipped, len(res.Artifacts), *out)
+	log.Printf("%s: %d cells (%d simulated in %d engine runs, %d resumed), %d artifact(s) in %s",
+		plan.Spec.Name, len(res.Rows), res.Ran, res.Runs, res.Skipped, len(res.Artifacts), *out)
 	if len(res.Failed) > 0 {
 		// Failed cells (each already retried once) are recorded in the
 		// manifest; `campaign run -resume` re-executes exactly these.

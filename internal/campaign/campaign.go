@@ -21,7 +21,6 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -440,11 +439,11 @@ func reduce(c Cell, duration float64, res *sim.Result, withPower bool, f *fixtur
 	}
 	hours := duration / 3600
 	row.MeanOnlineGWs = round6(sim.MeanOver(res.OnlineGWs, 0, hours))
+	var weights []float64
 	if collapsed {
-		row.FCTP50, row.FCTP95 = weightedFCTPercentiles(res.FCT, f.geom.flowWeights())
-	} else {
-		row.FCTP50, row.FCTP95 = fctPercentiles(res.FCT)
+		weights = f.geom.flowWeights()
 	}
+	row.FCTP50, row.FCTP95 = fctPercentiles(res.FCT, weights)
 	if f != nil && f.geom != nil && schemeCollapsible(c.Scheme) {
 		row.CollapsedClasses = len(f.geom.q.Classes)
 	}
@@ -465,23 +464,114 @@ func reduce(c Cell, duration float64, res *sim.Result, withPower bool, f *fixtur
 }
 
 // fctPercentiles returns the 50th and 95th percentile downlink flow
-// completion times, ignoring the NaN entries of unsimulated uplink flows.
-func fctPercentiles(fct []float64) (p50, p95 float64) {
+// completion times, ignoring the NaN entries of unsimulated uplink flows:
+// the values at ranks int(q·(n−1)) of the sorted FCTs. A collapsed run
+// passes each flow's class multiplicity as w (nil for a full run): flow i
+// then stands for w[i] identical full-scenario flows, and the ranks index
+// the multiplicity-expanded list, so the values are exactly those the
+// full run reports. An order statistic does not depend on how ties are
+// ordered, so selection picks what sorting would, in O(n): p95 first,
+// then p50 among the flows faster than p95.
+func fctPercentiles(fct, w []float64) (p50, p95 float64) {
 	xs := make([]float64, 0, len(fct))
-	for _, v := range fct {
-		if !math.IsNaN(v) {
-			xs = append(xs, v)
+	var ws []float64
+	if w != nil {
+		ws = make([]float64, 0, len(fct))
+	}
+	for i, v := range fct {
+		if math.IsNaN(v) {
+			continue
+		}
+		xs = append(xs, v)
+		if w != nil {
+			ws = append(ws, w[i])
 		}
 	}
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	sort.Float64s(xs)
-	pick := func(q float64) float64 {
-		i := int(q * float64(len(xs)-1))
-		return xs[i]
+	total := weightOf(ws, 0, len(xs))
+	r50, r95 := int(0.50*float64(total-1)), int(0.95*float64(total-1))
+	p95, nLess, wLess := selectRank(xs, ws, r95)
+	p50 = p95
+	if r50 < wLess {
+		if ws != nil {
+			ws = ws[:nLess]
+		}
+		p50, _, _ = selectRank(xs[:nLess], ws, r50)
 	}
-	return round6(pick(0.50)), round6(pick(0.95))
+	return round6(p50), round6(p95)
+}
+
+// selectRank returns the value at weighted rank r (0-based) of xs, where
+// xs[i] counts ws[i] times (once when ws is nil). It reorders xs and ws
+// so that exactly the elements smaller than the value come first, in
+// xs[:nLess], weighing wLess in total. It is quickselect over a three-way
+// partition, so a run of equal values costs one pass; a rank past the
+// total weight selects the maximum.
+func selectRank(xs, ws []float64, r int) (v float64, nLess, wLess int) {
+	lo, hi := 0, len(xs)
+	below := 0 // weight of xs[:lo], all smaller than xs[lo:hi]
+	for {
+		p := median3(xs[lo], xs[lo+(hi-lo)/2], xs[hi-1])
+		// Partition xs[lo:hi] into < p, == p and > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch {
+			case xs[i] < p:
+				swapPair(xs, ws, lt, i)
+				lt++
+				i++
+			case xs[i] > p:
+				gt--
+				swapPair(xs, ws, i, gt)
+			default:
+				i++
+			}
+		}
+		wLt, wEq := weightOf(ws, lo, lt), weightOf(ws, lt, gt)
+		switch {
+		case r < below+wLt:
+			hi = lt
+		case r < below+wLt+wEq || gt == hi:
+			return p, lt, below + wLt
+		default:
+			below += wLt + wEq
+			lo = gt
+		}
+	}
+}
+
+// weightOf is the total weight of xs[lo:hi]: hi-lo when ws is nil.
+func weightOf(ws []float64, lo, hi int) int {
+	if ws == nil {
+		return hi - lo
+	}
+	n := 0
+	for _, w := range ws[lo:hi] {
+		n += int(w)
+	}
+	return n
+}
+
+func swapPair(xs, ws []float64, i, j int) {
+	xs[i], xs[j] = xs[j], xs[i]
+	if ws != nil {
+		ws[i], ws[j] = ws[j], ws[i]
+	}
+}
+
+func median3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // round6 rounds to 6 significant-ish decimal digits so manifest rows and

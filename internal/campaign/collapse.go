@@ -2,8 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"insomnia/internal/dsl"
 	"insomnia/internal/quotient"
@@ -192,38 +190,6 @@ func collapseMode(override, spec string) string {
 		return spec
 	}
 	return "auto"
-}
-
-// weightedFCTPercentiles mirrors fctPercentiles for a collapsed run: flow
-// i stands for w[i] identical full-scenario flows, so the percentiles are
-// read off the multiplicity-expanded sorted list — the exact value the
-// full run's fctPercentiles would pick.
-func weightedFCTPercentiles(fct, w []float64) (p50, p95 float64) {
-	type vw struct{ v, w float64 }
-	xs := make([]vw, 0, len(fct))
-	total := 0
-	for i, v := range fct {
-		if !math.IsNaN(v) {
-			xs = append(xs, vw{v, w[i]})
-			total += int(w[i])
-		}
-	}
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	sort.Slice(xs, func(i, j int) bool { return xs[i].v < xs[j].v })
-	pick := func(q float64) float64 {
-		rank := int(q * float64(total-1))
-		cum := 0
-		for _, x := range xs {
-			cum += int(x.w)
-			if rank < cum {
-				return x.v
-			}
-		}
-		return xs[len(xs)-1].v
-	}
-	return round6(pick(0.50)), round6(pick(0.95))
 }
 
 // flowWeights returns each quotient flow's class multiplicity.

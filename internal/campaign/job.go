@@ -12,6 +12,7 @@ import (
 
 	"insomnia/internal/dsl"
 	"insomnia/internal/runner"
+	"insomnia/internal/sim"
 )
 
 // RowEvent is one cell-level progress event on Job.Rows. Events arrive in
@@ -254,11 +255,12 @@ func (j *Job) execute(ctx context.Context, done map[string]Row, pending []Cell, 
 }
 
 // runPending generates the fixtures the pending cells need, simulates
-// them on the worker pool and appends each completed cell-order prefix to
-// the manifest. Cells whose simulation fails (error or recovered panic)
-// are recorded in the manifest and retried once; the cells still failing
-// after the retry come back in the returned map. A canceled run returns
-// early with no error — the caller turns ctx state into ErrCanceled.
+// them on the worker pool — one runner job per engineRun — and appends
+// each completed cell-order prefix to the manifest. Cells whose
+// simulation fails (error or recovered panic) are recorded in the
+// manifest and retried once; the cells still failing after the retry come
+// back in the returned map. A canceled run returns early with no error —
+// the caller turns ctx state into ErrCanceled.
 func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, done map[string]Row, manifestPath string, opts Options) (map[string]string, error) {
 	p := j.plan
 	fixtures, need, groups, err := p.buildFixtures(ctx, pending, opts)
@@ -283,58 +285,65 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 	}
 	defer mf.Close()
 
-	jobs := make([]runner.Job, len(pending))
-	collapsed := make([]bool, len(pending))
-	for i, c := range pending {
+	runs := p.engineRuns(pending, fixtures, opts)
+	jobs := make([]runner.Job, len(runs))
+	for i, r := range runs {
+		c := r.cells[0]
 		v := p.variants[c.variant].spec
-		f := fixtures[groupKey{c.variant, c.Seed}]
-		mode := collapseMode(opts.Collapse, v.Collapse)
-		collapsed[i] = mode == "auto" && schemeCollapsible(c.Scheme) && f.geom != nil
-		cfg := simConfig(v, f, c, collapsed[i])
-		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(pending))
-		jobs[i] = runner.Job{Name: c.Key(), Config: cfg}
+		cfg := simConfig(v, fixtures[groupKey{c.variant, c.Seed}], c, r.collapsed)
+		for _, sib := range r.cells[1:] {
+			cfg.Siblings = append(cfg.Siblings, sib.Scheme)
+		}
+		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(runs))
+		jobs[i] = runner.Job{Name: r.name(), Config: cfg}
 	}
 	withPower := p.Spec.HasOutput("power")
 	enc := json.NewEncoder(mf)
 	var emitErr error
-	// emit checkpoints one outcome: a row entry on success, an error entry
-	// on failure (so an interrupted run re-executes the cell on resume) —
-	// and then publishes the matching RowEvent. Outcomes that merely report
+	// emit checkpoints one engine run's outcome, cell by cell in cell
+	// order: a row entry per cell on success, an error entry per cell on
+	// failure (so an interrupted run re-executes the cells on resume) —
+	// each followed by the matching RowEvent. Outcomes that merely report
 	// the run's own cancellation are not cell failures and are dropped.
-	emit := func(i int, c Cell, o runner.Outcome, retry bool) bool {
+	emit := func(r engineRun, o runner.Outcome, retry bool) bool {
 		if emitErr != nil || (o.Err != nil && errors.Is(o.Err, context.Canceled)) {
 			return false
 		}
-		e := manifestEntry{Key: c.Key()}
-		var row *Row
+		errMsg := ""
 		if o.Err != nil {
-			e.Error = o.Err.Error()
-		} else {
-			f := fixtures[groupKey{c.variant, c.Seed}]
-			r := reduce(c, p.variants[c.variant].spec.Duration, o.Result, withPower, f, collapsed[i])
-			done[c.Key()] = r
-			e.Row = &r
-			row = &r
+			errMsg = firstLine(o.Err.Error())
 		}
-		if err := enc.Encode(e); err != nil {
-			emitErr = err
-			return false
+		for k, c := range r.cells {
+			e := manifestEntry{Key: c.Key()}
+			if o.Err != nil {
+				e.Error = o.Err.Error()
+			} else {
+				res := o.Result
+				if k > 0 {
+					res = res.Siblings[k-1]
+				}
+				f := fixtures[groupKey{c.variant, c.Seed}]
+				row := reduce(c, p.variants[c.variant].spec.Duration, res, withPower, f, r.collapsed)
+				done[c.Key()] = row
+				e.Row = &row
+			}
+			if err := enc.Encode(e); err != nil {
+				emitErr = err
+				return false
+			}
+			if err := mf.Flush(); err != nil {
+				emitErr = err
+				return false
+			}
+			j.event(c, e.Row, errMsg, false, retry, len(done))
 		}
-		if err := mf.Flush(); err != nil {
-			emitErr = err
-			return false
-		}
-		if o.Err != nil {
-			j.event(c, nil, firstLine(o.Err.Error()), false, retry, len(done))
-			return false
-		}
-		j.event(c, row, "", false, retry, len(done))
-		return true
+		return o.Err == nil
 	}
 	pool := runner.Runner{Workers: opts.Workers, Budget: opts.Budget, Exec: opts.exec}
 	var failedIdx []int
 	for d := range pool.RunStream(ctx, jobs) {
-		if !emit(d.Index, pending[d.Index], d.Outcome, false) {
+		res.Runs++
+		if !emit(runs[d.Index], d.Outcome, false) {
 			if d.Err != nil && emitErr == nil && !errors.Is(d.Err, context.Canceled) {
 				failedIdx = append(failedIdx, d.Index)
 			}
@@ -346,9 +355,10 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 	if ctx.Err() != nil {
 		return nil, mf.Sync()
 	}
-	// One retry for the failed cells: transient faults (a poisoned worker,
+	// One retry for the failed runs: transient faults (a poisoned worker,
 	// an OOM-killed shard) get a second chance; deterministic failures fail
-	// again and are surfaced instead of aborting the whole campaign.
+	// again and are surfaced instead of aborting the whole campaign. A
+	// failed run retries as a whole, siblings included.
 	failed := map[string]string{}
 	if len(failedIdx) > 0 {
 		retry := make([]runner.Job, len(failedIdx))
@@ -356,10 +366,13 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 			retry[ri] = jobs[i]
 		}
 		for d := range pool.RunStream(ctx, retry) {
-			i := failedIdx[d.Index]
-			if !emit(i, pending[i], d.Outcome, true) {
+			res.Runs++
+			r := runs[failedIdx[d.Index]]
+			if !emit(r, d.Outcome, true) {
 				if d.Err != nil && emitErr == nil && !errors.Is(d.Err, context.Canceled) {
-					failed[pending[i].Key()] = d.Err.Error()
+					for _, c := range r.cells {
+						failed[c.Key()] = d.Err.Error()
+					}
 				}
 			}
 		}
@@ -368,6 +381,51 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 		}
 	}
 	return failed, mf.Sync()
+}
+
+// engineRun is one simulation of the job: a run of consecutive pending
+// cells that share a fixture, a collapse decision and a gateway side
+// (sim.GatewaySide). cells[0] is the simulated scheme and the rest ride
+// along as its sibling fabrics (sim.Config.Siblings), so the gateway side
+// is simulated once for all of them.
+type engineRun struct {
+	cells     []Cell
+	collapsed bool
+}
+
+// name joins the run's cell keys: the runner prefixes failures with it.
+func (r engineRun) name() string {
+	keys := make([]string, len(r.cells))
+	for i, c := range r.cells {
+		keys[i] = c.Key()
+	}
+	return strings.Join(keys, ", ")
+}
+
+// engineRuns groups the pending cells into engine runs. Only consecutive
+// cells group, so outcomes still arrive in cell order and RowEvents and
+// manifest entries need no reordering.
+func (p *Plan) engineRuns(pending []Cell, fixtures map[groupKey]*fixture, opts Options) []engineRun {
+	type runKey struct {
+		group     groupKey
+		collapsed bool
+		side      sim.Scheme
+	}
+	var runs []engineRun
+	var last runKey
+	for i, c := range pending {
+		g := groupKey{c.variant, c.Seed}
+		mode := collapseMode(opts.Collapse, p.variants[c.variant].spec.Collapse)
+		k := runKey{g, mode == "auto" && schemeCollapsible(c.Scheme) && fixtures[g].geom != nil, sim.GatewaySide(c.Scheme)}
+		if n := len(runs); n > 0 && k == last {
+			// cells is a window on pending: widen it by the next cell.
+			runs[n-1].cells = runs[n-1].cells[:len(runs[n-1].cells)+1]
+			continue
+		}
+		runs = append(runs, engineRun{cells: pending[i : i+1], collapsed: k.collapsed})
+		last = k
+	}
+	return runs
 }
 
 // groupKey identifies one (variant, seed) fixture group.
@@ -380,10 +438,10 @@ type groupKey struct {
 // parallel: fixture generation is deterministic per (variant, seed) and
 // independent, so the worker pool does not have to idle behind serial
 // trace synthesis. All pending fixtures stay resident for the run; results
-// do not: a cell's Result lives only until its checkpoint reduces it to a
-// Row, so beyond the fixtures a run holds just the cells in flight. Shard
-// a campaign into several specs if the fixtures of variants x seeds of a
-// city-scale scenario exceed memory.
+// do not: an engine run's Results live only until its group's checkpoint
+// reduces them to Rows, so beyond the fixtures a run holds just the groups
+// in flight. Shard a campaign into several specs if the fixtures of
+// variants x seeds of a city-scale scenario exceed memory.
 func (p *Plan) buildFixtures(ctx context.Context, pending []Cell, opts Options) (map[groupKey]*fixture, map[groupKey]*needs, []groupKey, error) {
 	var groups []groupKey
 	for _, c := range pending {

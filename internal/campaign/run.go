@@ -61,6 +61,7 @@ type Options struct {
 type RunResult struct {
 	Rows      []Row          // one per successful cell, in cell enumeration order
 	Ran       int            // cells simulated in this execution
+	Runs      int            // engine runs made: sibling cells share one (engineRun), retries count
 	Skipped   int            // cells restored from the manifest
 	Failed    []string       // cell keys that failed even after the retry, in cell order
 	Artifacts []string       // files written under OutDir

@@ -304,20 +304,21 @@ func (s *sim) gwCheck(sh *shard, g *gateway) {
 	s.armGwCheck(sh, g)
 }
 
-// updateCards reconciles line-card power states with the switch policy.
-func (s *sim) updateCards(t float64) {
+// updateCards reconciles fabric fs's line-card power states with its
+// switch policy.
+func (s *sim) updateCards(fs *fabricState, t float64) {
 	if !s.strat.sleepCards() {
 		return
 	}
-	s.cardBuf = s.policy.CardsAwakeInto(s.cardBuf)
-	for cd, a := range s.cardBuf {
-		if a != s.cardOn[cd] {
+	fs.cardBuf = fs.policy.CardsAwakeInto(fs.cardBuf)
+	for cd, a := range fs.cardBuf {
+		if a != fs.cardOn[cd] {
 			st := power.Sleeping
 			if a {
 				st = power.On
 			}
-			s.cards[cd].SetState(t, st)
-			s.cardOn[cd] = a
+			fs.cards[cd].SetState(t, st)
+			fs.cardOn[cd] = a
 		}
 	}
 }
@@ -628,15 +629,21 @@ func (s *sim) tick() {
 	}
 	userW += nSleep * power.SleepWatts
 	ispW += nSleep * power.SleepWatts
-	for _, cd := range s.cards {
-		ispW += cd.DrawW()
-	}
-	ispW += s.shelf.DrawW()
-	s.powerTS.Add(s.now, userW+ispW)
 	s.userTS.Add(s.now, userW)
-	s.ispTS.Add(s.now, ispW)
 	s.gwTS.Add(s.now, float64(online))
-	s.cardTS.Add(s.now, float64(s.policy.AwakeCardCount()))
+	// Each fabric continues the shared partial ISP sum with its own cards
+	// and the shelf, in the order a run of that scheme alone adds them.
+	for i := range s.fabrics {
+		fs := &s.fabrics[i]
+		fabW := ispW
+		for _, cd := range fs.cards {
+			fabW += cd.DrawW()
+		}
+		fabW += s.shelf.DrawW()
+		fs.powerTS.Add(s.now, userW+fabW)
+		fs.ispTS.Add(s.now, fabW)
+		fs.cardTS.Add(s.now, float64(fs.policy.AwakeCardCount()))
+	}
 	if s.hasFailures {
 		stranded := 0
 		for si := range s.shards {
@@ -665,11 +672,15 @@ func (s *sim) tickPrepRange(sh *shard, w0, w1 int, now float64) {
 	}
 }
 
+// result folds the run into the cell's Result and one per sibling. The
+// gateway-side terms are summed once; each fabric then continues the ISP
+// energy from the shared modem sum with its own cards and the shelf, in
+// the order a run of that scheme alone adds them.
 func (s *sim) result() *Result {
 	res := &Result{
-		Scheme: s.cfg.Scheme, Duration: s.end,
-		PowerW: s.powerTS, UserPowerW: s.userTS, ISPPowerW: s.ispTS,
-		OnlineGWs: s.gwTS, OnlineCards: s.cardTS,
+		Duration:      s.end,
+		UserPowerW:    s.userTS,
+		OnlineGWs:     s.gwTS,
 		FCT:           make([]float64, len(s.flows)),
 		FlowStall:     make([]float64, len(s.flows)),
 		GatewayOnTime: make([]float64, len(s.gws)),
@@ -686,6 +697,7 @@ func (s *sim) result() *Result {
 			res.FlowStall[i] = nan
 		}
 	}
+	var modemJ float64
 	if qp := s.cfg.Quotient; qp != nil {
 		// Expand to the full scenario's shape, folding the energy sums in
 		// ascending full gateway id order: the addend sequence is then
@@ -698,7 +710,7 @@ func (s *sim) result() *Result {
 			g := &s.gws[q]
 			res.GatewayOnTime[line] = g.ctl.Device().OnTimeAt(s.end)
 			res.Energy.UserJ += g.ctl.Device().EnergyAt(s.end)
-			res.Energy.ISPJ += g.modem.EnergyAt(s.end)
+			modemJ += g.modem.EnergyAt(s.end)
 			res.Wakeups += g.ctl.Device().Wakeups()
 		}
 	} else {
@@ -706,16 +718,10 @@ func (s *sim) result() *Result {
 			g := &s.gws[gwID]
 			res.GatewayOnTime[gwID] = g.ctl.Device().OnTimeAt(s.end)
 			res.Energy.UserJ += g.ctl.Device().EnergyAt(s.end)
-			res.Energy.ISPJ += g.modem.EnergyAt(s.end)
+			modemJ += g.modem.EnergyAt(s.end)
 			res.Wakeups += g.ctl.Device().Wakeups()
 		}
 	}
-	res.CardOnTime = make([]float64, len(s.cards))
-	for i, cd := range s.cards {
-		res.Energy.ISPJ += cd.EnergyAt(s.end)
-		res.CardOnTime[i] = cd.OnTimeAt(s.end)
-	}
-	res.Energy.ISPJ += s.shelf.EnergyAt(s.end)
 	res.Availability = 1
 	if s.hasFailures {
 		// Close the open intervals at the horizon, then reduce the
@@ -769,6 +775,28 @@ func (s *sim) result() *Result {
 			res.Availability = 1 - strandedSec/n
 		}
 		res.StrandedClients = s.strandedTS
+	}
+	if len(s.fabrics) > 1 {
+		res.Siblings = make([]*Result, len(s.fabrics)-1)
+	}
+	for i := range s.fabrics {
+		r := res
+		if i > 0 {
+			sib := *res
+			sib.Siblings = nil
+			r = &sib
+			res.Siblings[i-1] = r
+		}
+		fs := &s.fabrics[i]
+		r.Scheme = fs.scheme
+		r.PowerW, r.ISPPowerW, r.OnlineCards = fs.powerTS, fs.ispTS, fs.cardTS
+		r.Energy.ISPJ = modemJ
+		r.CardOnTime = make([]float64, len(fs.cards))
+		for cd, dev := range fs.cards {
+			r.Energy.ISPJ += dev.EnergyAt(s.end)
+			r.CardOnTime[cd] = dev.OnTimeAt(s.end)
+		}
+		r.Energy.ISPJ += s.shelf.EnergyAt(s.end)
 	}
 	return res
 }

@@ -184,14 +184,14 @@ func TestCardFollowsLineState(t *testing.T) {
 	// gateways sleep, all cards sleep.
 	s := handSim(t, SoI, []trace.Flow{{Start: 100, Client: 0, Bytes: 750000}}, nil)
 	s.run()
-	for cd, on := range s.cardOn {
+	for cd, on := range s.fabrics[0].cardOn {
 		if on {
 			t.Errorf("card %d still on at end", cd)
 		}
 	}
 	// The card hosting gateway 0's line consumed energy during the episode.
 	var cardJ float64
-	for _, cd := range s.cards {
+	for _, cd := range s.fabrics[0].cards {
 		cardJ += cd.EnergyAt(4000)
 	}
 	if cardJ <= 0 {

@@ -24,13 +24,14 @@ func (noSleepScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 
 // postInit marks every line active so cards and modems never sleep. Under
 // a quotient run that is every full-scenario line (via applyLineOp's
-// mirror fan-out), not just the simulated representatives.
+// mirror fan-out), not just the simulated representatives. No-sleep has
+// no siblings: its fabric is fabrics[0].
 func (noSleepScheme) postInit(s *sim) {
 	for g := range s.gws {
 		s.applyLineOp(g, true, 0)
 	}
-	for cd := range s.cardOn {
-		s.cardOn[cd] = true
+	for cd := range s.fabrics[0].cardOn {
+		s.fabrics[0].cardOn[cd] = true
 	}
 }
 

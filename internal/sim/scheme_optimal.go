@@ -123,8 +123,9 @@ func (sc optimalScheme) onResolve(s *sim) {
 		sc.migrateFlows(s, g)
 		sc.closeGateway(s, g)
 	}
-	s.policy.Repack()
-	s.updateCards(s.now)
+	// Optimal has no siblings: its fabric is fabrics[0].
+	s.fabrics[0].policy.Repack()
+	s.updateCards(&s.fabrics[0], s.now)
 }
 
 // migrateFlows moves g's in-flight flows to their clients' new gateways
@@ -177,7 +178,7 @@ func (optimalScheme) closeGateway(s *sim, g *gateway) {
 	s.elapse(g, s.now)
 	g.ctl.Sleep(s.now)
 	g.modem.SetState(s.now, power.Sleeping)
-	s.policy.OnSleep(g.id)
+	s.fabrics[0].policy.OnSleep(g.id)
 	g.est.Reset()
 	s.quiesce(s.main, g)
 }

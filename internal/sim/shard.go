@@ -185,8 +185,8 @@ func (s *sim) shardedStep() bool {
 // drainSinks replays the shards' deferred switch-fabric ops in global time
 // order: a k-way merge over the per-shard queues by head-op time (each
 // queue is already time-ordered — ops are stamped with the generating
-// event's time), ties broken by shard id. Each op updates the shared
-// policy and reconciles the line cards exactly as the serial engine does
+// event's time), ties broken by shard id. Each op updates every fabric's
+// policy and reconciles its line cards exactly as the serial engine does
 // inline, so policy state and card energy integration are bit-identical.
 func (s *sim) drainSinks() {
 	idx := s.sinkIdx
@@ -236,31 +236,35 @@ func (s *sim) lineSleep(sh *shard, gw int, t float64) {
 	s.applyLineOp(gw, false, t)
 }
 
-// applyLineOp applies one gateway's line wake/sleep to the shared switch
-// fabric and reconciles the line cards. Under a quotient run the op fans
-// out over every full-scenario line the gateway stands for — the mirrored
-// lines transition at the same instant, and the fabrics the collapse pass
-// admits (fixed, full-switch) derive card states from the active-line set
-// alone, so one card reconciliation after the batch reproduces the full
-// run's card energy exactly (same-instant transients integrate to zero).
+// applyLineOp applies one gateway's line wake/sleep to every switch
+// fabric of the run and reconciles each fabric's line cards. Under a
+// quotient run the op fans out over every full-scenario line the gateway
+// stands for — the mirrored lines transition at the same instant, and the
+// fabrics the collapse pass admits (fixed, full-switch) derive card states
+// from the active-line set alone, so one card reconciliation after the
+// batch reproduces the full run's card energy exactly (same-instant
+// transients integrate to zero).
 func (s *sim) applyLineOp(gw int, wake bool, t float64) {
-	if s.mirror == nil {
-		if wake {
-			s.policy.OnWake(gw)
+	for i := range s.fabrics {
+		fs := &s.fabrics[i]
+		if s.mirror == nil {
+			fs.lineOp(gw, wake)
 		} else {
-			s.policy.OnSleep(gw)
+			for _, line := range s.mirror[gw] {
+				fs.lineOp(int(line), wake)
+			}
 		}
-		s.updateCards(t)
-		return
+		s.updateCards(fs, t)
 	}
-	for _, line := range s.mirror[gw] {
-		if wake {
-			s.policy.OnWake(int(line))
-		} else {
-			s.policy.OnSleep(int(line))
-		}
+}
+
+// lineOp tells the fabric's switch policy that a line went active or idle.
+func (fs *fabricState) lineOp(line int, wake bool) {
+	if wake {
+		fs.policy.OnWake(line)
+	} else {
+		fs.policy.OnSleep(line)
 	}
-	s.updateCards(t)
 }
 
 // ---- worker pool ----

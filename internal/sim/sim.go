@@ -84,6 +84,23 @@ func (s Scheme) String() string {
 	}
 }
 
+// GatewaySide names the gateway and terminal behaviour a scheme runs: two
+// schemes with the same GatewaySide differ only in the ISP-side switch
+// fabric, which is a pure sink, so they compute bit-identical gateway
+// trajectories and one run can serve both (Config.Siblings). The families
+// are {SoI, SoI+k-switch, SoI+full-switch} and {BH2+k-switch,
+// BH2+full-switch}. BH2-nobackup stands alone (its decisions run with
+// Backup forced to 0), as do no-sleep, optimal and centralized.
+func GatewaySide(sc Scheme) Scheme {
+	switch sc {
+	case SoIKSwitch, SoIFullSwitch:
+		return SoI
+	case BH2FullSwitch:
+		return BH2KSwitch
+	}
+	return sc
+}
+
 // Config describes one simulation run.
 type Config struct {
 	Trace *trace.Trace       // generated workload (downlink flows drive QoS)
@@ -94,7 +111,13 @@ type Config struct {
 	K      int       // k-switch size for *KSwitch schemes (default 4)
 
 	Scheme Scheme
-	BH2    bh2.Params // zero value takes bh2.DefaultParams
+	// Siblings lists further schemes with Scheme's gateway side
+	// (GatewaySide) to evaluate in the same run: the engine drives one
+	// switch fabric per scheme off the shared line wake/sleep sequence and
+	// returns their results in Result.Siblings, in this order, each
+	// bit-identical to a separate run of that scheme.
+	Siblings []Scheme
+	BH2      bh2.Params // zero value takes bh2.DefaultParams
 
 	IdleTimeout float64 // default dsl.IdleTimeoutSeconds
 	WakeDelay   float64 // default dsl.WakeSeconds
@@ -127,9 +150,10 @@ type Config struct {
 	// PortOf and switch policy stay full-sized — each wake/sleep of q fans
 	// out over its mirrored lines — and Result is expanded back to the full
 	// scenario's shape with bit-exact accounting. Only the uncoupled
-	// schemes (NoSleep, SoI, SoIFullSwitch) accept a plan; everything else
-	// errors, because their cross-gateway coupling (shared RNG streams,
-	// k-switch remap order, global re-solves) breaks the class symmetry.
+	// schemes (NoSleep, SoI, SoIFullSwitch) accept a plan, as Scheme or as
+	// a sibling; everything else errors, because their cross-gateway
+	// coupling (shared RNG streams, k-switch remap order, global
+	// re-solves) breaks the class symmetry.
 	Quotient *QuotientPlan
 
 	// DebugDecisions, when set, observes every BH2 decision (diagnostics
@@ -200,6 +224,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Topo.NumGateways < c.Trace.Cfg.APs {
 		return c, fmt.Errorf("sim: topology has %d gateways, trace needs %d", c.Topo.NumGateways, c.Trace.Cfg.APs)
 	}
+	for _, sc := range c.Siblings {
+		if GatewaySide(sc) != GatewaySide(c.Scheme) {
+			return c, fmt.Errorf("sim: sibling %v does not share %v's gateway side", sc, c.Scheme)
+		}
+	}
 	if c.DSLAM.Cards == 0 {
 		c.DSLAM = dsl.EvalDSLAM
 	}
@@ -214,10 +243,12 @@ func (c Config) withDefaults() (Config, error) {
 		if err := c.Quotient.validate(c.Topo.NumGateways, c.Topo.NumClients()); err != nil {
 			return c, err
 		}
-		switch c.Scheme {
-		case NoSleep, SoI, SoIFullSwitch:
-		default:
-			return c, fmt.Errorf("sim: scheme %v cannot run collapsed (cross-gateway coupling)", c.Scheme)
+		for _, sc := range append([]Scheme{c.Scheme}, c.Siblings...) {
+			switch sc {
+			case NoSleep, SoI, SoIFullSwitch:
+			default:
+				return c, fmt.Errorf("sim: scheme %v cannot run collapsed (cross-gateway coupling)", sc)
+			}
 		}
 		if c.RandomWake {
 			return c, fmt.Errorf("sim: RandomWake cannot run collapsed (shared wake-delay stream)")
@@ -321,6 +352,15 @@ type Result struct {
 	Availability    float64 // 1 - StrandedSeconds / (clients * Duration)
 	GatewayDownTime []float64
 	StrandedClients *stats.TimeSeries // stranded-client count per sample bin
+
+	// Siblings holds one result per Config.Siblings entry, in that order;
+	// nil when the run had none. A sibling owns its fabric's fields —
+	// Scheme, PowerW, ISPPowerW, OnlineCards, CardOnTime and Energy.ISPJ —
+	// and shares every gateway-side slice, map and series (FCT, FlowStall,
+	// GatewayOnTime, UserPowerW, OnlineGWs, DecisionReasons,
+	// GatewayDownTime, StrandedClients) with this result. Treat those as
+	// read-only: a write through one result shows in all of them.
+	Siblings []*Result
 }
 
 // SavingsVs returns total energy savings of r against a baseline run.

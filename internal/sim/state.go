@@ -167,10 +167,11 @@ type sim struct {
 
 	gws     []gateway
 	clients []client
-	policy  kswitch.Policy
-	cards   []*power.Device
-	cardOn  []bool
-	cardBuf []bool // reusable CardsAwakeInto scratch
+	// fabrics are the switch fabrics the run drives: the cell's own scheme
+	// first, then one per Config.Siblings entry. Strategy code that touches
+	// the policy directly (no-sleep's postInit, optimal) uses fabrics[0];
+	// those schemes never have siblings.
+	fabrics []fabricState
 	shelf   *power.Device
 
 	// Engine lanes. shards hold the gateway-owning lanes (length 1 unless
@@ -238,10 +239,25 @@ type sim struct {
 	strandedTS      *stats.TimeSeries
 	lastFailResolve float64 // dedups the coordinated schemes' failure re-solve per instant
 
-	// Metrics.
-	powerTS, userTS, ispTS, gwTS, cardTS *stats.TimeSeries
-	moves, resolves, optGap              int
-	reasons                              map[bh2.Reason]int
+	// Metrics. The fabric-dependent series live on each fabricState.
+	userTS, gwTS            *stats.TimeSeries
+	moves, resolves, optGap int
+	reasons                 map[bh2.Reason]int
+}
+
+// fabricState is everything one switch fabric owns: the DSLAM switch
+// policy, its line cards and the series they feed. The fabric is a pure
+// sink (see sinkOp): nothing here feeds back into gateway, client or flow
+// dynamics, so schemes with one gateway side (GatewaySide) can share a
+// run, each fabric replaying the same line wake/sleep sequence.
+type fabricState struct {
+	scheme  Scheme
+	policy  kswitch.Policy
+	cards   []*power.Device
+	cardOn  []bool
+	cardBuf []bool // reusable CardsAwakeInto scratch
+
+	powerTS, ispTS, cardTS *stats.TimeSeries
 }
 
 func newSim(cfg Config) (*sim, error) {
@@ -257,8 +273,6 @@ func newSim(cfg Config) (*sim, error) {
 		cfg: cfg, strat: strat, end: end,
 		gws:         make([]gateway, nGW),
 		clients:     make([]client, nCl),
-		cards:       make([]*power.Device, cfg.DSLAM.Cards),
-		cardOn:      make([]bool, cfg.DSLAM.Cards),
 		clientBytes: make([]float64, nCl),
 		decRNG:      stats.NewRNG(cfg.Seed, 0xdec1de),
 		wakeRNG:     stats.NewRNG(cfg.Seed, 0x3a7e),
@@ -290,11 +304,8 @@ func newSim(cfg Config) (*sim, error) {
 	s.needLoad = strat.usesLoad()
 
 	bins := int(end / cfg.SampleEvery)
-	s.powerTS = stats.NewTimeSeries(0, end, bins)
 	s.userTS = stats.NewTimeSeries(0, end, bins)
-	s.ispTS = stats.NewTimeSeries(0, end, bins)
 	s.gwTS = stats.NewTimeSeries(0, end, bins)
-	s.cardTS = stats.NewTimeSeries(0, end, bins)
 
 	// §5.2: "the simulation starts with all the gateways sleeping" — unless
 	// the scheme (no-sleep) says otherwise.
@@ -322,12 +333,26 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	s.buildLanes(initState != power.Sleeping)
 
-	if s.policy, err = strat.newPolicy(cfg); err != nil {
-		return nil, err
-	}
-	for cd := range s.cards {
-		s.cards[cd] = power.NewDevice(fmt.Sprintf("card%d", cd), power.LineCardWatts, initState, 0)
-		s.cardOn[cd] = initState == power.On
+	s.fabrics = make([]fabricState, 1+len(cfg.Siblings))
+	for i, sc := range append([]Scheme{cfg.Scheme}, cfg.Siblings...) {
+		fabStrat, err := newStrategy(sc)
+		if err != nil {
+			return nil, err
+		}
+		fs := &s.fabrics[i]
+		fs.scheme = sc
+		if fs.policy, err = fabStrat.newPolicy(cfg); err != nil {
+			return nil, err
+		}
+		fs.cards = make([]*power.Device, cfg.DSLAM.Cards)
+		fs.cardOn = make([]bool, cfg.DSLAM.Cards)
+		for cd := range fs.cards {
+			fs.cards[cd] = power.NewDevice(fmt.Sprintf("card%d", cd), power.LineCardWatts, initState, 0)
+			fs.cardOn[cd] = initState == power.On
+		}
+		fs.powerTS = stats.NewTimeSeries(0, end, bins)
+		fs.ispTS = stats.NewTimeSeries(0, end, bins)
+		fs.cardTS = stats.NewTimeSeries(0, end, bins)
 	}
 	s.shelf = power.NewDevice("shelf", power.ShelfWatts, power.On, 0)
 	strat.postInit(s)

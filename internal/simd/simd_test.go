@@ -493,3 +493,29 @@ func TestSubmitWorkersKeyHonored(t *testing.T) {
 		t.Fatalf("job finished %q, want done", final.State)
 	}
 }
+
+// TestServerSpecSizeCap pins the POST body cap: a spec of exactly
+// maxSpecBytes is served, one byte more is refused with 413 before any
+// job directory exists.
+func TestServerSpecSizeCap(t *testing.T) {
+	data := t.TempDir()
+	_, hs := newTestServer(t, data, nil)
+	// padded returns testSpec grown to n bytes by a trailing comment line.
+	padded := func(n int) string {
+		return testSpec + "#" + strings.Repeat("x", n-len(testSpec)-2) + "\n"
+	}
+	if _, code := submitRaw(t, hs.URL, padded(maxSpecBytes+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("spec of %d bytes: got %d, want 413", maxSpecBytes+1, code)
+	}
+	jobs, err := os.ReadDir(filepath.Join(data, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("a refused spec left %d job director(ies)", len(jobs))
+	}
+	st := submit(t, hs.URL, padded(maxSpecBytes))
+	if st := waitState(t, hs.URL, st.ID); st.State != "done" {
+		t.Fatalf("spec of %d bytes: job ended %q, want done", maxSpecBytes, st.State)
+	}
+}
