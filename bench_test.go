@@ -16,12 +16,14 @@ import (
 	"testing"
 
 	"insomnia/internal/analytic"
+	"insomnia/internal/campaign"
 	"insomnia/internal/crosstalk"
 	"insomnia/internal/dsl"
 	"insomnia/internal/figures"
 	"insomnia/internal/runner"
 	"insomnia/internal/sim"
 	"insomnia/internal/testbed"
+	"insomnia/internal/topology"
 	"insomnia/internal/trace"
 )
 
@@ -32,18 +34,16 @@ var (
 )
 
 // day lazily runs the §5 scenario once for all day-based benchmarks. The
-// eight schemes fan out through the experiment runner's worker pool
-// (internal/runner), so the fixture costs roughly one Optimal run of
-// wall-clock instead of the serial sum.
+// eight schemes fan out over the campaign's worker pool, so the fixture
+// costs roughly one Optimal run of wall-clock instead of the serial sum.
 func day(b *testing.B) *figures.DayRuns {
 	b.Helper()
 	dayOnce.Do(func() {
-		var sc *figures.Scenario
-		sc, dayErr = figures.NewScenario(1)
-		if dayErr != nil {
-			return
-		}
-		dayRuns, dayErr = figures.RunDay(sc, nil)
+		dayErr = figures.RunDays(context.Background(), figures.DaySpec([]int64{1}), campaign.Options{},
+			func(r *figures.DayRuns) error {
+				dayRuns = r
+				return nil
+			})
 	})
 	if dayErr != nil {
 		b.Fatal(dayErr)
@@ -56,11 +56,14 @@ func day(b *testing.B) *figures.DayRuns {
 // scheduled on 1 worker vs GOMAXPROCS workers. The per-scheme results are
 // identical (runner_test.go proves it); only wall-clock differs.
 func benchSchemeComparison(b *testing.B, workers int) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		jobs := runner.SchemeJobs(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Seed: 2}, schemes)
+		jobs := make([]runner.Job, len(schemes))
+		for j, sc := range schemes {
+			jobs[j] = runner.Job{Name: sc.String(), Config: sim.Config{Trace: tr, Topo: tp, Scheme: sc, Seed: 2}}
+		}
 		outs := (runner.Runner{Workers: workers}).Run(context.Background(), jobs)
 		if err := runner.FirstErr(outs); err != nil {
 			b.Fatal(err)
@@ -193,7 +196,7 @@ func BenchmarkFig9b_Fairness(b *testing.B) {
 
 func BenchmarkFig10_DensitySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := figures.Fig10(1, []float64{1, 2, 5.6, 10})
+		s, err := figures.Fig10(context.Background(), []int64{1}, []float64{1, 2, 5.6, 10}, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,23 +276,28 @@ func BenchmarkSoIBound(b *testing.B) {
 
 // --- ablations (the design choices docs/SCHEMES.md describes) ---
 
-func benchScenario(b *testing.B) *figures.Scenario {
+// benchScenario builds the §5.1 day scenario at seed 2.
+func benchScenario(b *testing.B) (*trace.Trace, *topology.Topology) {
 	b.Helper()
-	sc, err := figures.NewScenario(2)
+	sp, err := figures.DaySpec([]int64{2}).WithDefaults()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return sc
+	tr, tp, err := campaign.BuildScenario(sp, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr, tp
 }
 
 func BenchmarkAblationBackup(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
-		with, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2})
+		with, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		without, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2NoBackup, Seed: 2})
+		without, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2NoBackup, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,10 +307,10 @@ func BenchmarkAblationBackup(b *testing.B) {
 }
 
 func BenchmarkAblationSwitch(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, sch := range []sim.Scheme{sim.SoI, sim.SoIKSwitch, sim.SoIFullSwitch} {
-			res, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sch, Seed: 2})
+			res, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sch, Seed: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -312,7 +320,7 @@ func BenchmarkAblationSwitch(b *testing.B) {
 }
 
 func BenchmarkAblationThresholds(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, th := range []struct {
 			name      string
@@ -322,7 +330,7 @@ func BenchmarkAblationThresholds(b *testing.B) {
 			{"tight-05-30", 0.05, 0.30},
 			{"loose-20-70", 0.20, 0.70},
 		} {
-			cfg := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2}
+			cfg := sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: 2}
 			cfg.BH2.Low, cfg.BH2.High = th.low, th.high
 			cfg.BH2.Backup = 1
 			cfg.BH2.PeriodSec, cfg.BH2.JitterSec, cfg.BH2.EstWindow = 150, 30, 60
@@ -337,10 +345,10 @@ func BenchmarkAblationThresholds(b *testing.B) {
 }
 
 func BenchmarkAblationPeriod(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
 		for _, period := range []float64{60, 150, 300} {
-			cfg := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2}
+			cfg := sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: 2}
 			cfg.BH2.Low, cfg.BH2.High, cfg.BH2.Backup = 0.10, 0.50, 1
 			cfg.BH2.PeriodSec, cfg.BH2.JitterSec, cfg.BH2.EstWindow = period, period/5, 60
 			cfg.BH2.WakeUpHome = true
@@ -356,13 +364,13 @@ func BenchmarkAblationPeriod(b *testing.B) {
 // BenchmarkAblationCentralized compares the §3.3 centralized-controller
 // extension against distributed BH2 and the idealized Optimal.
 func BenchmarkAblationCentralized(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
-		base, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.NoSleep, Seed: 2})
+		base, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.NoSleep, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		cen, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.Centralized, Seed: 2})
+		cen, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.Centralized, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,17 +382,17 @@ func BenchmarkAblationCentralized(b *testing.B) {
 // BenchmarkAblationWakeTime compares the constant 60 s wake against the
 // measured distribution (up to 3 min resyncs).
 func BenchmarkAblationWakeTime(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	for i := 0; i < b.N; i++ {
-		fixed, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2})
+		fixed, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
-		random, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch, Seed: 2, RandomWake: true})
+		random, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: 2, RandomWake: true})
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.NoSleep, Seed: 2})
+		base, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.NoSleep, Seed: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,12 +403,12 @@ func BenchmarkAblationWakeTime(b *testing.B) {
 
 // BenchmarkAblationKSize sweeps the switch size on an 8-card DSLAM.
 func BenchmarkAblationKSize(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	shelf := dsl.DSLAM{Cards: 8, PortsPerCard: 6}
 	for i := 0; i < b.N; i++ {
 		for _, k := range []int{2, 4, 8} {
 			res, err := sim.Run(sim.Config{
-				Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.BH2KSwitch,
+				Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch,
 				Seed: 2, DSLAM: shelf, K: k,
 			})
 			if err != nil {
@@ -457,10 +465,10 @@ func BenchmarkCrosstalkSyncRate(b *testing.B) {
 // BenchmarkSimulatorDay measures raw simulator throughput: one full
 // simulated day of SoI over the evaluation scenario per iteration.
 func BenchmarkSimulatorDay(b *testing.B) {
-	sc := benchScenario(b)
+	tr, tp := benchScenario(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(sim.Config{Trace: sc.Trace, Topo: sc.Topo, Scheme: sim.SoI, Seed: 2}); err != nil {
+		if _, err := sim.Run(sim.Config{Trace: tr, Topo: tp, Scheme: sim.SoI, Seed: 2}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -190,7 +190,10 @@ func benchComparison(rep *perf.Report, seed int64) error {
 		tr.Cfg.Clients, tr.Cfg.APs, tr.Cfg.Duration, seed)
 	return rep.Measure("scheme-comparison-serial", scenario, func() (map[string]float64, error) {
 		schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch}
-		jobs := runner.SchemeJobs(sim.Config{Trace: tr, Topo: tp, Seed: seed}, schemes)
+		jobs := make([]runner.Job, len(schemes))
+		for i, sc := range schemes {
+			jobs[i] = runner.Job{Name: sc.String(), Config: sim.Config{Trace: tr, Topo: tp, Scheme: sc, Seed: seed}}
+		}
 		outs := (runner.Runner{Workers: 1}).Run(context.Background(), jobs)
 		if err := runner.FirstErr(outs); err != nil {
 			return nil, err

@@ -6,39 +6,57 @@
 //
 //	figures [-out out] [-seed 1] [-runs 1] [-fig all|2|3|4|5|6|7|8|9a|9b|10|12|14|15|table|headline]
 //
-// The -runs flag averages the day simulations over several seeds (the
-// paper averaged 10 runs; 1-3 give the same shapes much faster).
+// The -runs flag simulates seeds seed, seed+1, ... seed+runs-1. Fig 10
+// averages over all of them and adds standard-deviation error bars (the
+// paper averaged 10 runs). The day figures (6-9, table, headline) plot
+// the first seed's runs; each further seed only logs its BH2+k-switch and
+// optimal savings to stderr, to show the spread.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 
+	"insomnia/internal/campaign"
 	"insomnia/internal/cli"
 	"insomnia/internal/figures"
 	"insomnia/internal/perf"
 	"insomnia/internal/sim"
+	"insomnia/internal/stats"
 	"insomnia/internal/testbed"
 )
+
+// figIDs lists the -fig values.
+var figIDs = []string{"all", "2", "3", "4", "5", "6", "7", "8", "9a", "9b", "10", "12", "14", "15", "table", "headline"}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
 	out := flag.String("out", "out", "output directory")
 	seed := flag.Int64("seed", 1, "base RNG seed")
-	runs := flag.Int("runs", 1, "day-simulation repetitions to average (distinct seeds)")
-	fig := flag.String("fig", "all", "which figure to regenerate")
+	runs := flag.Int("runs", 1, "seeds to simulate: Fig 10 averages them, the day figures plot the first and log the rest's savings")
+	fig := flag.String("fig", "all", "which figure to regenerate: "+strings.Join(figIDs, "|"))
 	liveScale := flag.Float64("livescale", 0.005, "testbed wall-seconds per virtual second (fig 12)")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "engine shards per simulation (0 = serial engine; results identical at every value)")
+	shards := flag.Int("shards", 0, "engine shards per simulation (0 = auto: the cores the worker pool leaves idle; results identical at every value)")
 	cpuprofile := flag.String("cpuprofile", "", "write CPU profile to file")
 	memprofile := flag.String("memprofile", "", "write heap profile to file at exit")
 	flag.Parse()
-	if err := cli.RejectArgs("figures", flag.Args()); err != nil {
+	err := cli.RejectArgs("figures", flag.Args())
+	if err == nil && !slices.Contains(figIDs, *fig) {
+		err = fmt.Errorf("figures: unknown -fig %q", *fig)
+	}
+	if err == nil && *runs < 1 {
+		err = fmt.Errorf("figures: -runs must be at least 1, got %d", *runs)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		flag.Usage()
 		os.Exit(2)
@@ -55,14 +73,27 @@ func main() {
 
 	check(os.MkdirAll(*out, 0o755))
 	want := func(name string) bool { return *fig == "all" || *fig == name }
+	ctx := context.Background()
+	opts := campaign.Options{Workers: *workers, Shards: *shards}
+	seeds := make([]int64, *runs)
+	for i := range seeds {
+		seeds[i] = *seed + int64(i)
+	}
 
 	var day *figures.DayRuns
 	needDay := want("6") || want("7") || want("8") || want("9a") || want("9b") || want("table") || want("headline")
 	if needDay {
 		log.Printf("running day simulations (%d run(s), 8 schemes; the Optimal ILP dominates runtime)...", *runs)
-		var err error
-		day, err = averagedDayRuns(*seed, *runs, *workers, *shards)
-		check(err)
+		check(figures.RunDays(ctx, figures.DaySpec(seeds), opts, func(r *figures.DayRuns) error {
+			if day == nil {
+				day = r
+				return nil
+			}
+			h := figures.Summarize(r)
+			log.Printf("  seed %d: BH2+k savings %.1f%%, optimal %.1f%%",
+				r.Seed, h.Savings[sim.BH2KSwitch.String()]*100, h.OptimalMargin*100)
+			return nil
+		}))
 	}
 
 	if want("2") {
@@ -73,7 +104,7 @@ func main() {
 	if want("3") {
 		s, err := figures.Fig3(*seed)
 		check(err)
-		writeSeries(*out, "fig3_ap_utilization.csv", "hour", []figures.Series{s})
+		writeSeries(*out, "fig3_ap_utilization.csv", "hour", []stats.Series{s})
 		fmt.Print(figures.RenderASCII(s, 40))
 	}
 	if want("4") {
@@ -107,19 +138,14 @@ func main() {
 		writeSeries(*out, "fig9b_ontime_cdf.csv", "ontime-variation-pct", figures.Fig9b(day))
 	}
 	if want("10") {
-		// -runs > 1 turns Fig 10 into a multi-seed sweep with error bars.
-		seeds := make([]int64, *runs)
-		for i := range seeds {
-			seeds[i] = *seed + int64(i)
-		}
-		s, err := figures.Fig10Sweep(seeds, nil, *workers)
+		s, err := figures.Fig10(ctx, seeds, nil, opts)
 		check(err)
-		writeSeries(*out, "fig10_density_sweep.csv", "mean-available-gateways", []figures.Series{s})
+		writeSeries(*out, "fig10_density_sweep.csv", "mean-available-gateways", []stats.Series{s})
 		fmt.Print(figures.RenderASCII(s, 40))
 	}
 	if want("12") {
 		log.Printf("running live testbed (twice: SoI then BH2)...")
-		var series []figures.Series
+		var series []stats.Series
 		for _, mode := range []bool{false, true} {
 			res, err := testbed.Run(testbed.Config{UseBH2: mode, Seed: *seed, TimeScale: *liveScale})
 			check(err)
@@ -127,7 +153,7 @@ func main() {
 			if mode {
 				name = "BH2"
 			}
-			s := figures.Series{Name: name}
+			s := stats.Series{Name: name}
 			for i := 0; i < len(res.OnlineSeries); i += 60 {
 				s.X = append(s.X, float64(i)/60)
 				var sum int
@@ -179,37 +205,9 @@ func main() {
 	log.Printf("wrote outputs to %s/", *out)
 }
 
-// averagedDayRuns merges per-seed runs by averaging the derived series is
-// overkill for shape reproduction; instead we run the requested seeds and
-// keep the first (figures are per-run like the paper's averaged plots, and
-// additional runs are summarized on stdout for variance inspection). Each
-// seed's 8 schemes fan out over the worker pool.
-func averagedDayRuns(seed int64, runs, workers, shards int) (*figures.DayRuns, error) {
-	var first *figures.DayRuns
-	for i := 0; i < runs; i++ {
-		sc, err := figures.NewScenario(seed + int64(i))
-		if err != nil {
-			return nil, err
-		}
-		sc.Shards = shards
-		day, err := figures.RunDayWorkers(sc, nil, workers)
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			first = day
-		} else {
-			h := figures.Summarize(day)
-			log.Printf("  seed %d: BH2+k savings %.1f%%, optimal %.1f%%",
-				seed+int64(i), h.Savings[sim.BH2KSwitch.String()]*100, h.OptimalMargin*100)
-		}
-	}
-	return first, nil
-}
-
-func writeSeries(dir, name, xLabel string, series []figures.Series) {
+func writeSeries(dir, name, xLabel string, series []stats.Series) {
 	f := create(dir, name)
-	check(figures.WriteSeriesCSV(f, xLabel, series))
+	check(stats.WriteSeriesCSV(f, xLabel, series))
 	f.Close()
 	log.Printf("wrote %s", filepath.Join(dir, name))
 }

@@ -8,41 +8,38 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"insomnia/internal/campaign"
+	"insomnia/internal/figures"
 	"insomnia/internal/sim"
-	"insomnia/internal/topology"
-	"insomnia/internal/trace"
 )
 
 func main() {
-	tr, err := trace.Generate(trace.DefaultSimConfig(11))
-	if err != nil {
-		log.Fatal(err)
-	}
-	graph, err := topology.OverlapGraph(tr.Cfg.APs, topology.DefaultMeanInRange, 11)
-	if err != nil {
-		log.Fatal(err)
-	}
-	topo, err := topology.FromOverlap(graph, tr.ClientAP)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	base, err := sim.Run(sim.Config{Trace: tr, Topo: topo, Scheme: sim.NoSleep, Seed: 11})
+	// The §5.1 evaluation day at seed 11, under the no-sleep baseline and
+	// one scheme per level of coordination.
+	sp := figures.DaySpec([]int64{11})
+	sp.Schemes = []string{"no-sleep", "SoI", "BH2+k-switch", "centralized+k-switch", "optimal"}
+	plan, err := campaign.Compile(sp)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("scheme                    savings   peak online gateways (11-19h)")
-	for _, sch := range []sim.Scheme{sim.SoI, sim.BH2KSwitch, sim.Centralized, sim.Optimal} {
-		res, err := sim.Run(sim.Config{Trace: tr, Topo: topo, Scheme: sch, Seed: 11})
-		if err != nil {
-			log.Fatal(err)
+	var base *sim.Result
+	err = plan.Simulate(context.Background(), campaign.Options{}, func(c campaign.Cell, res *sim.Result) error {
+		if c.Scheme == sim.NoSleep {
+			base = res
+			return nil
 		}
 		fmt.Printf("%-25s %5.1f%%    %.1f of %d\n",
-			sch, res.SavingsVs(base)*100, sim.MeanOver(res.OnlineGWs, 11, 19), tr.Cfg.APs)
+			c.Scheme, res.SavingsVs(base)*100, sim.MeanOver(res.OnlineGWs, 11, 19), sp.Trace.Gateways)
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("\nreading: the distributed heuristic needs no controller and no gateway")
 	fmt.Println("changes; the centralized variant shows what coordination alone adds;")

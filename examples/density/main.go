@@ -2,23 +2,25 @@
 // online during peak hours shrinks as wireless density (the mean number of
 // gateways a client can reach) grows from 1 to 10.
 //
-// The sweep itself is figures.Fig10Sweep: every (density, seed) pair is
-// one job for the parallel experiment runner over a single shared trace,
-// and the series carries the cross-seed mean ± std this table renders.
+// The sweep itself is figures.Fig10: a campaign whose cells are the
+// (density, seed) pairs, each seed with its own office-day trace, and
+// whose series carries the cross-seed mean ± std this table renders.
 //
 //	go run ./examples/density
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"insomnia/internal/campaign"
 	"insomnia/internal/figures"
 )
 
 func main() {
 	seeds := []int64{7, 8, 9}
-	s, err := figures.Fig10Sweep(seeds, nil, 0)
+	s, err := figures.Fig10(context.Background(), seeds, nil, campaign.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

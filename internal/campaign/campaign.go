@@ -16,6 +16,9 @@
 // the manifest and rebuilds artifacts from the union, so an interrupted
 // then resumed campaign writes byte-identical artifacts to an
 // uninterrupted one, at any worker count.
+//
+// Plan.Simulate runs the same cells without manifest or artifacts and
+// hands each cell's sim.Result to the caller instead.
 package campaign
 
 import (
@@ -193,19 +196,9 @@ func buildFixture(sp dsl.Spec, seed int64, needFull, needQuot bool) (*fixture, e
 	if !needFull {
 		return f, nil
 	}
-	cfg, err := traceConfig(sp, seed)
-	if err != nil {
+	if f.tr, f.tp, err = fullScenario(sp, seed, g); err != nil {
 		return nil, err
 	}
-	tr, err := trace.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := buildTopology(sp, tr, g, seed)
-	if err != nil {
-		return nil, err
-	}
-	f.tr, f.tp = tr, tp
 	return f, nil
 }
 
@@ -222,6 +215,12 @@ func BuildScenario(sp dsl.Spec, seed int64) (*trace.Trace, *topology.Topology, e
 	if err != nil {
 		return nil, nil, err
 	}
+	return fullScenario(sp, seed, g)
+}
+
+// fullScenario generates the full trace and attaches its clients to the
+// gateway graph g (nil for binomial topologies, see buildGraph).
+func fullScenario(sp dsl.Spec, seed int64, g *topology.Graph) (*trace.Trace, *topology.Topology, error) {
 	cfg, err := traceConfig(sp, seed)
 	if err != nil {
 		return nil, nil, err

@@ -105,9 +105,6 @@ func (p *Plan) Submit(ctx context.Context, opts Options) (*Job, error) {
 	if opts.OutDir == "" {
 		return nil, fmt.Errorf("campaign: Options.OutDir is required")
 	}
-	if opts.Workers == 0 {
-		opts.Workers = p.Spec.Workers
-	}
 	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -145,6 +142,56 @@ func (p *Plan) Submit(ctx context.Context, opts Options) (*Job, error) {
 	}
 	go j.execute(jctx, done, pending, manifestPath, opts)
 	return j, nil
+}
+
+// Simulate runs every cell of the plan and hands fn each cell's Result,
+// in cell order, on the calling goroutine. It is Submit's in-memory
+// counterpart for callers that reduce Results themselves, such as the
+// paper's figures: cells share fixtures and engine runs exactly as in a
+// job, so the sibling cells of one engine run arrive one by one, and each
+// Result equals a lone sim.Run of its cell. Siblings share their
+// gateway-side slices (see sim.Result.Siblings), so fn must treat every
+// Result as read-only; it may keep them.
+//
+// Simulate writes no manifest and no artifacts and retries nothing:
+// Options.OutDir and Options.Resume do not apply. The first failed engine
+// run, whose error names its cells, or the first error fn returns stops
+// the remaining runs and is returned once the worker pool and its Budget
+// slots are released. A canceled ctx returns an error wrapping
+// ErrCanceled.
+//
+// A collapsed cell's Result is expanded to the full scenario in every
+// aggregate and series, but its per-flow slices (FCT, FlowStall) stay
+// quotient-shaped: one entry per flow of the quotient trace. Only
+// symmetric placement collapses, and Options.Collapse "off" disables it;
+// the figures' specs use shuffled placement and never collapse.
+func (p *Plan) Simulate(ctx context.Context, opts Options, fn func(Cell, *sim.Result) error) error {
+	rctx, stop := context.WithCancel(ctx)
+	defer stop()
+	b, err := p.prepare(rctx, p.Cells, opts)
+	if err != nil {
+		return err
+	}
+	for d := range b.pool.RunStream(rctx, b.jobs) {
+		if err != nil {
+			continue // stopping: drain until the pool has shut down
+		}
+		if err = d.Err; err == nil {
+			r := b.runs[d.Index]
+			for k, c := range r.cells {
+				if err = fn(c, r.result(d.Result, k)); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			stop()
+		}
+	}
+	if ctx.Err() != nil {
+		return fmt.Errorf("%w: %v", ErrCanceled, context.Cause(ctx))
+	}
+	return err
 }
 
 // Plan returns the compiled plan the job executes.
@@ -263,12 +310,13 @@ func (j *Job) execute(ctx context.Context, done map[string]Row, pending []Cell, 
 // the caller turns ctx state into ErrCanceled.
 func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, done map[string]Row, manifestPath string, opts Options) (map[string]string, error) {
 	p := j.plan
-	fixtures, need, groups, err := p.buildFixtures(ctx, pending, opts)
+	b, err := p.prepare(ctx, pending, opts)
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range groups {
-		if g := fixtures[k].geom; g != nil && need[k].quot {
+	fixtures, runs, jobs := b.fixtures, b.runs, b.jobs
+	for _, k := range b.groups {
+		if g := fixtures[k].geom; g != nil && b.need[k].quot {
 			res.Collapsed = append(res.Collapsed, CollapseNote{
 				Scenario: p.variants[k.variant].label, Seed: k.seed,
 				FullGateways: g.q.FullGateways, Classes: len(g.q.Classes),
@@ -285,18 +333,6 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 	}
 	defer mf.Close()
 
-	runs := p.engineRuns(pending, fixtures, opts)
-	jobs := make([]runner.Job, len(runs))
-	for i, r := range runs {
-		c := r.cells[0]
-		v := p.variants[c.variant].spec
-		cfg := simConfig(v, fixtures[groupKey{c.variant, c.Seed}], c, r.collapsed)
-		for _, sib := range r.cells[1:] {
-			cfg.Siblings = append(cfg.Siblings, sib.Scheme)
-		}
-		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(runs))
-		jobs[i] = runner.Job{Name: r.name(), Config: cfg}
-	}
 	withPower := p.Spec.HasOutput("power")
 	enc := json.NewEncoder(mf)
 	var emitErr error
@@ -318,12 +354,8 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 			if o.Err != nil {
 				e.Error = o.Err.Error()
 			} else {
-				res := o.Result
-				if k > 0 {
-					res = res.Siblings[k-1]
-				}
 				f := fixtures[groupKey{c.variant, c.Seed}]
-				row := reduce(c, p.variants[c.variant].spec.Duration, res, withPower, f, r.collapsed)
+				row := reduce(c, p.variants[c.variant].spec.Duration, r.result(o.Result, k), withPower, f, r.collapsed)
 				done[c.Key()] = row
 				e.Row = &row
 			}
@@ -339,9 +371,8 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 		}
 		return o.Err == nil
 	}
-	pool := runner.Runner{Workers: opts.Workers, Budget: opts.Budget, Exec: opts.exec}
 	var failedIdx []int
-	for d := range pool.RunStream(ctx, jobs) {
+	for d := range b.pool.RunStream(ctx, jobs) {
 		res.Runs++
 		if !emit(runs[d.Index], d.Outcome, false) {
 			if d.Err != nil && emitErr == nil && !errors.Is(d.Err, context.Canceled) {
@@ -365,7 +396,7 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 		for ri, i := range failedIdx {
 			retry[ri] = jobs[i]
 		}
-		for d := range pool.RunStream(ctx, retry) {
+		for d := range b.pool.RunStream(ctx, retry) {
 			res.Runs++
 			r := runs[failedIdx[d.Index]]
 			if !emit(r, d.Outcome, true) {
@@ -383,6 +414,53 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 	return failed, mf.Sync()
 }
 
+// batch is the simulation work of a list of cells: the fixtures they
+// need, their engine runs, and the runner job and worker pool that
+// simulate each run.
+type batch struct {
+	fixtures map[groupKey]*fixture
+	need     map[groupKey]*needs
+	groups   []groupKey
+	runs     []engineRun
+	jobs     []runner.Job // jobs[i] simulates runs[i]
+	pool     runner.Runner
+}
+
+// prepare generates the fixtures the cells need and groups the cells into
+// engine runs, one runner job each. It is the one place cells become
+// sim.Configs, shared by a Job's runPending and by Simulate. When ctx is
+// canceled during fixture generation, the batch holds the fixtures that
+// completed and no runs.
+func (p *Plan) prepare(ctx context.Context, cells []Cell, opts Options) (*batch, error) {
+	if opts.Workers == 0 {
+		opts.Workers = p.Spec.Workers
+	}
+	fixtures, need, groups, err := p.buildFixtures(ctx, cells, opts)
+	if err != nil {
+		return nil, err
+	}
+	b := &batch{
+		fixtures: fixtures, need: need, groups: groups,
+		pool: runner.Runner{Workers: opts.Workers, Budget: opts.Budget, Exec: opts.exec},
+	}
+	if ctx.Err() != nil {
+		return b, nil
+	}
+	b.runs = p.engineRuns(cells, fixtures, opts)
+	b.jobs = make([]runner.Job, len(b.runs))
+	for i, r := range b.runs {
+		c := r.cells[0]
+		v := p.variants[c.variant].spec
+		cfg := simConfig(v, fixtures[groupKey{c.variant, c.Seed}], c, r.collapsed)
+		for _, sib := range r.cells[1:] {
+			cfg.Siblings = append(cfg.Siblings, sib.Scheme)
+		}
+		cfg.Shards = engineShards(opts.Shards, v.Shards, opts.Workers, len(b.runs))
+		b.jobs[i] = runner.Job{Name: r.name(), Config: cfg}
+	}
+	return b, nil
+}
+
 // engineRun is one simulation of the job: a run of consecutive pending
 // cells that share a fixture, a collapse decision and a gateway side
 // (sim.GatewaySide). cells[0] is the simulated scheme and the rest ride
@@ -391,6 +469,14 @@ func (j *Job) runPending(ctx context.Context, res *RunResult, pending []Cell, do
 type engineRun struct {
 	cells     []Cell
 	collapsed bool
+}
+
+// result is the Result of the run's k-th cell, given the run's own.
+func (r engineRun) result(res *sim.Result, k int) *sim.Result {
+	if k == 0 {
+		return res
+	}
+	return res.Siblings[k-1]
 }
 
 // name joins the run's cell keys: the runner prefixes failures with it.

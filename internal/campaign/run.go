@@ -13,9 +13,9 @@ import (
 	"strconv"
 	"strings"
 
-	"insomnia/internal/figures"
 	"insomnia/internal/runner"
 	"insomnia/internal/sim"
+	"insomnia/internal/stats"
 )
 
 // ManifestName is the checkpoint file inside the output directory.
@@ -341,18 +341,18 @@ func (p *Plan) writeResultsJSON(w io.Writer, rows []Row, failed []string) error 
 }
 
 // writePowerCSV renders every cell's hourly mean power as one series
-// column over a shared hour axis, via the figures CSV writer.
+// column over a shared hour axis, via the stats CSV writer.
 func writePowerCSV(w io.Writer, rows []Row) error {
-	var series []figures.Series
+	var series []stats.Series
 	for _, r := range rows {
-		s := figures.Series{Name: fmt.Sprintf("%s/%s/seed%d", r.Scenario, r.Scheme, r.Seed)}
+		s := stats.Series{Name: fmt.Sprintf("%s/%s/seed%d", r.Scenario, r.Scheme, r.Seed)}
 		for h, v := range r.PowerHourly {
 			s.X = append(s.X, float64(h))
 			s.Y = append(s.Y, v)
 		}
 		series = append(series, s)
 	}
-	return figures.WriteSeriesCSV(w, "hour", series)
+	return stats.WriteSeriesCSV(w, "hour", series)
 }
 
 func fmtF(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }

@@ -6,57 +6,9 @@ import (
 	"io"
 	"strconv"
 	"strings"
-)
 
-// WriteSeriesCSV writes one or more series sharing an X axis as CSV:
-// x,<name1>,<name2>,... Series with differing X grids are written with
-// blank cells where they have no sample.
-func WriteSeriesCSV(w io.Writer, xLabel string, series []Series) error {
-	cw := csv.NewWriter(w)
-	header := []string{xLabel}
-	for _, s := range series {
-		header = append(header, s.Name)
-		if s.Err != nil {
-			header = append(header, s.Name+"-stddev")
-		}
-	}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	// Union of X values, in first-seen order.
-	var xs []float64
-	seen := map[float64]bool{}
-	for _, s := range series {
-		for _, x := range s.X {
-			if !seen[x] {
-				seen[x] = true
-				xs = append(xs, x)
-			}
-		}
-	}
-	for _, x := range xs {
-		row := []string{fmtF(x)}
-		for _, s := range series {
-			i := indexOf(s.X, x)
-			if i < 0 {
-				row = append(row, "")
-				if s.Err != nil {
-					row = append(row, "")
-				}
-				continue
-			}
-			row = append(row, fmtF(s.Y[i]))
-			if s.Err != nil {
-				row = append(row, fmtF(s.Err[i]))
-			}
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
+	"insomnia/internal/stats"
+)
 
 // WriteHistogramCSV writes labeled histogram bins.
 func WriteHistogramCSV(w io.Writer, labels []string, fracs []float64) error {
@@ -74,7 +26,7 @@ func WriteHistogramCSV(w io.Writer, labels []string, fracs []float64) error {
 }
 
 // RenderASCII draws a quick terminal chart of one series (for CLI output).
-func RenderASCII(s Series, width int) string {
+func RenderASCII(s stats.Series, width int) string {
 	if len(s.Y) == 0 {
 		return s.Name + ": (empty)\n"
 	}
@@ -100,12 +52,3 @@ func RenderASCII(s Series, width int) string {
 }
 
 func fmtF(x float64) string { return strconv.FormatFloat(x, 'g', 6, 64) }
-
-func indexOf(xs []float64, x float64) int {
-	for i, v := range xs {
-		if v == x {
-			return i
-		}
-	}
-	return -1
-}

@@ -1,69 +1,26 @@
 // Package figures regenerates every table and figure of the paper's
 // evaluation from the reproduction's own components. Each FigN function
 // returns plain data series so the CLI (cmd/figures), the benchmark harness
-// (bench_test.go) and the examples all share one implementation.
+// (bench_test.go) and the examples all share one implementation. The
+// simulated figures are campaign specs (DaySpec, Fig10's density sweep)
+// run through campaign.Plan.Simulate, plus pure reducers over the
+// Results it hands back.
 package figures
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"insomnia/internal/analytic"
+	"insomnia/internal/campaign"
 	"insomnia/internal/crosstalk"
 	"insomnia/internal/dsl"
-	"insomnia/internal/runner"
 	"insomnia/internal/sim"
 	"insomnia/internal/stats"
 	"insomnia/internal/topology"
 	"insomnia/internal/trace"
 )
-
-// Series is one plotted line: X positions, Y values, optional error bars.
-type Series struct {
-	Name string
-	X    []float64
-	Y    []float64
-	Err  []float64
-}
-
-// Scenario bundles the §5.1 simulation inputs.
-type Scenario struct {
-	Trace *trace.Trace
-	Topo  *topology.Topology
-	Seed  int64
-	// Shards is the engine shard count every run of this scenario uses
-	// (sim.Config.Shards); results are byte-identical at every value, so
-	// it only matters when the worker pool leaves cores idle.
-	Shards int
-}
-
-// NewScenario builds the evaluation scenario: a UCSD-like day trace with
-// uniform client placement over a 40-gateway overlap topology with mean
-// in-range 5.6.
-func NewScenario(seed int64) (*Scenario, error) {
-	tr, err := trace.Generate(trace.DefaultSimConfig(seed))
-	if err != nil {
-		return nil, err
-	}
-	g, err := topology.OverlapGraph(tr.Cfg.APs, topology.DefaultMeanInRange, seed)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{Trace: tr, Topo: tp, Seed: seed}, nil
-}
-
-// DayRuns holds one full-day simulation per scheme over a common scenario —
-// Figs 6, 7, 8, 9 and the §5.2.3 table all read from it.
-type DayRuns struct {
-	Scenario *Scenario
-	Results  map[sim.Scheme]*sim.Result
-}
 
 // DefaultSchemes is the scheme set the paper's figures use.
 var DefaultSchemes = []sim.Scheme{
@@ -71,35 +28,58 @@ var DefaultSchemes = []sim.Scheme{
 	sim.BH2KSwitch, sim.BH2FullSwitch, sim.BH2NoBackup, sim.Optimal,
 }
 
-// RunDay simulates the given schemes over one scenario, fanning out across
-// a GOMAXPROCS-wide worker pool (see RunDayWorkers). Pass nil for the
-// default scheme set.
-func RunDay(sc *Scenario, schemes []sim.Scheme) (*DayRuns, error) {
-	return RunDayWorkers(sc, schemes, 0)
+// DaySpec is the §5.1 evaluation scenario as a campaign spec: a UCSD-like
+// office day with uniform client placement, 272 clients on 40 gateways of
+// an overlap topology with on average 5.6 gateways in range of a client,
+// under every scheme of DefaultSchemes at each seed. No-sleep is among
+// them because Figs 6 and 8 and the headline measure against it.
+func DaySpec(seeds []int64) dsl.Spec {
+	sp := dsl.Spec{
+		Name:     "day",
+		Seeds:    seeds,
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: 272, Gateways: 40},
+		Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: topology.DefaultMeanInRange},
+	}
+	for _, sc := range DefaultSchemes {
+		sp.Schemes = append(sp.Schemes, sc.String())
+	}
+	return sp
 }
 
-// RunDayWorkers is RunDay with an explicit worker count (<=0 uses
-// GOMAXPROCS; 1 recovers the fully serial path). All schemes share the
-// scenario's trace and topology read-only, and results are identical at
-// any width because each run's randomness is self-contained.
-func RunDayWorkers(sc *Scenario, schemes []sim.Scheme, workers int) (*DayRuns, error) {
-	if schemes == nil {
-		schemes = DefaultSchemes
+// DayRuns holds one seed's full-day simulation per scheme: Figs 6, 7, 8,
+// 9 and the §5.2.3 table all read from it.
+type DayRuns struct {
+	Seed    int64
+	Results map[sim.Scheme]*sim.Result
+}
+
+// RunDays simulates a day spec (DaySpec, or a smaller one without sweeps)
+// and hands fn each seed's runs in seed order, as soon as that seed's
+// last cell is in, so a caller that keeps only one seed's runs holds no
+// more. Results are identical at every Options.Workers and Shards value.
+func RunDays(ctx context.Context, sp dsl.Spec, opts campaign.Options, fn func(*DayRuns) error) error {
+	plan, err := campaign.Compile(sp)
+	if err != nil {
+		return err
 	}
-	base := sim.Config{Trace: sc.Trace, Topo: sc.Topo, Seed: sc.Seed, Shards: sc.Shards}
-	jobs := runner.SchemeJobs(base, schemes)
-	// Figs 6, 8 and the headline always need the no-sleep baseline.
-	if !slices.Contains(schemes, sim.NoSleep) {
-		jobs = append(jobs, runner.SchemeJobs(base, []sim.Scheme{sim.NoSleep})...)
-	}
-	out := &DayRuns{Scenario: sc, Results: map[sim.Scheme]*sim.Result{}}
-	for _, o := range (runner.Runner{Workers: workers}).Run(context.Background(), jobs) {
-		if o.Err != nil {
-			return nil, fmt.Errorf("figures: %w", o.Err) // runner names the scheme
+	var day *DayRuns
+	err = plan.Simulate(ctx, opts, func(c campaign.Cell, res *sim.Result) error {
+		if day != nil && day.Seed != c.Seed {
+			if err := fn(day); err != nil {
+				return err
+			}
+			day = nil
 		}
-		out.Results[o.Job.Config.Scheme] = o.Result
+		if day == nil {
+			day = &DayRuns{Seed: c.Seed, Results: map[sim.Scheme]*sim.Result{}}
+		}
+		day.Results[c.Scheme] = res
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return out, nil
+	return fn(day)
 }
 
 // hourly reduces a per-bin series to 24 hourly means by mapping each bin
@@ -132,14 +112,14 @@ func hours() []float64 {
 // Fig2 regenerates the residential utilization curves: mean and median
 // downlink utilization plus mean uplink utilization by hour, for n
 // subscribers.
-func Fig2(n int, seed int64) ([]Series, error) {
+func Fig2(n int, seed int64) ([]stats.Series, error) {
 	tr, err := trace.Generate(trace.DefaultResidentialConfig(n, seed))
 	if err != nil {
 		return nil, err
 	}
 	down := tr.UtilizationMatrix(false, 24)
 	up := tr.UtilizationMatrix(true, 24)
-	return []Series{
+	return []stats.Series{
 		{Name: "downlink-avg", X: hours(), Y: scale(trace.MeanUtilization(down), 100)},
 		{Name: "downlink-median", X: hours(), Y: scale(trace.MedianUtilization(down), 100)},
 		{Name: "uplink-avg", X: hours(), Y: scale(trace.MeanUtilization(up), 100)},
@@ -147,13 +127,13 @@ func Fig2(n int, seed int64) ([]Series, error) {
 }
 
 // Fig3 regenerates the office trace's average AP downlink utilization.
-func Fig3(seed int64) (Series, error) {
+func Fig3(seed int64) (stats.Series, error) {
 	tr, err := trace.Generate(trace.DefaultOfficeConfig(seed))
 	if err != nil {
-		return Series{}, err
+		return stats.Series{}, err
 	}
 	m := tr.UtilizationMatrix(false, 24)
-	return Series{Name: "AP-utilization", X: hours(), Y: scale(trace.MeanUtilization(m), 100)}, nil
+	return stats.Series{Name: "AP-utilization", X: hours(), Y: scale(trace.MeanUtilization(m), 100)}, nil
 }
 
 // Fig4 regenerates the peak-hour inter-packet-gap histogram: per-bin
@@ -172,10 +152,10 @@ func Fig4(seed int64) (labels []string, fracs []float64, err error) {
 
 // Fig5 computes Eq (2) card-sleep probabilities for k in {2,4,8}, m modems
 // per card and per-line activity p — one of the paper's two panels.
-func Fig5(m int, p float64) ([]Series, error) {
-	var out []Series
+func Fig5(m int, p float64) ([]stats.Series, error) {
+	var out []stats.Series
 	for _, k := range []int{2, 4, 8} {
-		s := Series{Name: fmt.Sprintf("%d-switch", k)}
+		s := stats.Series{Name: fmt.Sprintf("%d-switch", k)}
 		for l := 1; l <= 8; l++ {
 			s.X = append(s.X, float64(l))
 			if l > k {
@@ -195,16 +175,16 @@ func Fig5(m int, p float64) ([]Series, error) {
 
 // Fig6 reduces day runs to hourly energy savings (%) vs no-sleep for the
 // paper's four plotted schemes.
-func Fig6(runs *DayRuns) []Series {
+func Fig6(runs *DayRuns) []stats.Series {
 	base := runs.Results[sim.NoSleep]
-	var out []Series
+	var out []stats.Series
 	for _, sch := range []sim.Scheme{sim.Optimal, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch} {
 		r := runs.Results[sch]
 		if r == nil {
 			continue
 		}
 		sav := sim.SavingsSeries(r, base)
-		out = append(out, Series{
+		out = append(out, stats.Series{
 			Name: sch.String(), X: hours(),
 			Y: hourly(func(i int) float64 { return sav[i] * 100 }, len(sav)),
 		})
@@ -213,14 +193,14 @@ func Fig6(runs *DayRuns) []Series {
 }
 
 // Fig7 reduces day runs to hourly online gateway counts.
-func Fig7(runs *DayRuns) []Series {
-	var out []Series
+func Fig7(runs *DayRuns) []stats.Series {
+	var out []stats.Series
 	for _, sch := range []sim.Scheme{sim.SoI, sim.BH2KSwitch, sim.BH2NoBackup, sim.Optimal} {
 		r := runs.Results[sch]
 		if r == nil {
 			continue
 		}
-		out = append(out, Series{
+		out = append(out, stats.Series{
 			Name: sch.String(), X: hours(),
 			Y: hourly(func(i int) float64 { return r.OnlineGWs.MeanAt(i) }, r.OnlineGWs.Bins()),
 		})
@@ -229,16 +209,16 @@ func Fig7(runs *DayRuns) []Series {
 }
 
 // Fig8 reduces day runs to the hourly ISP share of total savings (%).
-func Fig8(runs *DayRuns) []Series {
+func Fig8(runs *DayRuns) []stats.Series {
 	base := runs.Results[sim.NoSleep]
-	var out []Series
+	var out []stats.Series
 	for _, sch := range []sim.Scheme{sim.Optimal, sim.SoIKSwitch, sim.BH2KSwitch, sim.SoI} {
 		r := runs.Results[sch]
 		if r == nil {
 			continue
 		}
 		share := sim.ISPShareSeries(r, base)
-		out = append(out, Series{
+		out = append(out, stats.Series{
 			Name: sch.String(), X: hours(),
 			Y: hourly(func(i int) float64 { return share[i] * 100 }, len(share)),
 		})
@@ -250,7 +230,7 @@ func Fig8(runs *DayRuns) []Series {
 // SoI, BH2 and BH2-without-backup, using the paper's accounting: only
 // wake-up stalls are charged (the paper's simulator did not model bandwidth
 // contention). Fig9aContention gives the full-contention variant.
-func Fig9a(runs *DayRuns) []Series {
+func Fig9a(runs *DayRuns) []stats.Series {
 	return fig9aWith(runs, func(base, r *sim.Result, i int) (float64, bool) {
 		b, stall := base.FCT[i], r.FlowStall[i]
 		if math.IsNaN(b) || math.IsNaN(stall) || b <= 0 {
@@ -262,7 +242,7 @@ func Fig9a(runs *DayRuns) []Series {
 
 // Fig9aContention is the stricter variant where every source of delay
 // (including backhaul sharing on aggregated gateways) counts.
-func Fig9aContention(runs *DayRuns) []Series {
+func Fig9aContention(runs *DayRuns) []stats.Series {
 	return fig9aWith(runs, func(base, r *sim.Result, i int) (float64, bool) {
 		b, v := base.FCT[i], r.FCT[i]
 		if math.IsNaN(b) || math.IsNaN(v) || b <= 0 {
@@ -272,9 +252,9 @@ func Fig9aContention(runs *DayRuns) []Series {
 	})
 }
 
-func fig9aWith(runs *DayRuns, delta func(base, r *sim.Result, i int) (float64, bool)) []Series {
+func fig9aWith(runs *DayRuns, delta func(base, r *sim.Result, i int) (float64, bool)) []stats.Series {
 	base := runs.Results[sim.NoSleep]
-	var out []Series
+	var out []stats.Series
 	for _, sch := range []sim.Scheme{sim.BH2NoBackup, sim.BH2KSwitch, sim.SoI} {
 		r := runs.Results[sch]
 		if r == nil {
@@ -287,7 +267,7 @@ func fig9aWith(runs *DayRuns, delta func(base, r *sim.Result, i int) (float64, b
 			}
 		}
 		cdf := stats.NewECDF(deltas)
-		s := Series{Name: sch.String()}
+		s := stats.Series{Name: sch.String()}
 		for _, x := range []float64{0, 10, 25, 50, 100, 200, 300, 400, 500, 600} {
 			s.X = append(s.X, x)
 			s.Y = append(s.Y, cdf.At(x))
@@ -299,9 +279,9 @@ func fig9aWith(runs *DayRuns, delta func(base, r *sim.Result, i int) (float64, b
 
 // Fig9b builds the CDF of per-gateway online-time variation (%) of BH2
 // schemes relative to plain SoI.
-func Fig9b(runs *DayRuns) []Series {
+func Fig9b(runs *DayRuns) []stats.Series {
 	soi := runs.Results[sim.SoI]
-	var out []Series
+	var out []stats.Series
 	for _, sch := range []sim.Scheme{sim.BH2KSwitch, sim.BH2NoBackup} {
 		r := runs.Results[sch]
 		if r == nil || soi == nil {
@@ -316,7 +296,7 @@ func Fig9b(runs *DayRuns) []Series {
 			deltas = append(deltas, (r.GatewayOnTime[g]-b)/b*100)
 		}
 		cdf := stats.NewECDF(deltas)
-		s := Series{Name: sch.String()}
+		s := stats.Series{Name: sch.String()}
 		for _, x := range []float64{-100, -75, -50, -25, 0, 25, 50, 75, 100} {
 			s.X = append(s.X, x)
 			s.Y = append(s.Y, cdf.At(x))
@@ -328,65 +308,51 @@ func Fig9b(runs *DayRuns) []Series {
 
 // Fig10 sweeps gateway density: mean online gateways during peak hours
 // (11-19 h) vs mean number of available gateways per client, under BH2.
-// All density points run in parallel over one shared trace.
-func Fig10(seed int64, densities []float64) (Series, error) {
-	return Fig10Sweep([]int64{seed}, densities, 0)
-}
-
-// Fig10Sweep is the multi-seed variant of Fig10: every (density, seed)
-// pair becomes one runner job over a single shared trace, and the series
-// reports the per-density mean with the cross-seed standard deviation as
-// error bars (the paper averaged 10 runs). Workers sizes the pool as in
-// RunDayWorkers.
-func Fig10Sweep(seeds []int64, densities []float64, workers int) (Series, error) {
+// Each (density, seed) cell simulates the §5.1 office day on a binomial
+// topology drawn at that density; every seed generates its own trace and
+// topology, as in any campaign. The series reports the per-density mean
+// over the seeds, with the cross-seed standard deviation as error bars
+// when there is more than one seed (the paper averaged 10 runs). Nil
+// densities sweep 1 to 10.
+func Fig10(ctx context.Context, seeds []int64, densities []float64, opts campaign.Options) (stats.Series, error) {
 	if densities == nil {
 		densities = []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	}
-	if len(seeds) == 0 {
-		return Series{}, fmt.Errorf("figures: Fig10 needs at least one seed")
-	}
-	tr, err := trace.Generate(trace.DefaultSimConfig(seeds[0]))
+	plan, err := campaign.Compile(dsl.Spec{
+		Name:     "fig10",
+		Schemes:  []string{sim.BH2KSwitch.String()},
+		Seeds:    seeds,
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: 272, Gateways: 40},
+		Topology: dsl.TopoSpec{Kind: "binomial"},
+		Sweeps:   []dsl.Sweep{{Axis: "mean-in-range", Values: densities}},
+	})
 	if err != nil {
-		return Series{}, err
+		return stats.Series{}, err
 	}
-	var jobs []runner.Job
-	for _, d := range densities {
-		for _, seed := range seeds {
-			// The binomial connectivity is part of the sampled randomness:
-			// each seed draws its own topology at the target density.
-			tp, err := topology.Binomial(tr.Cfg.APs, tr.ClientAP, d, seed)
-			if err != nil {
-				return Series{}, err
-			}
-			jobs = append(jobs, runner.Job{
-				Name:   fmt.Sprintf("density%g/seed%d", d, seed),
-				Config: sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, Seed: seed},
-			})
-		}
+	n := len(plan.Spec.Seeds)
+	ws := make([]stats.Welford, len(densities))
+	err = plan.Simulate(ctx, opts, func(c campaign.Cell, res *sim.Result) error {
+		// Cells enumerate the densities outermost, then the seeds.
+		ws[c.Index/n].Add(sim.MeanOver(res.OnlineGWs, 11, 19))
+		return nil
+	})
+	if err != nil {
+		return stats.Series{}, err
 	}
-	outs := (runner.Runner{Workers: workers}).Run(context.Background(), jobs)
-	if err := runner.FirstErr(outs); err != nil {
-		return Series{}, err
-	}
-	s := Series{Name: "BH2"}
-	for di, d := range densities {
-		var w stats.Welford
-		for si := range seeds {
-			res := outs[di*len(seeds)+si].Result
-			w.Add(sim.MeanOver(res.OnlineGWs, 11, 19))
-		}
+	s := stats.Series{Name: "BH2"}
+	for i, d := range densities {
 		s.X = append(s.X, d)
-		s.Y = append(s.Y, w.Mean())
-		if len(seeds) > 1 {
-			s.Err = append(s.Err, w.Std())
+		s.Y = append(s.Y, ws[i].Mean())
+		if n > 1 {
+			s.Err = append(s.Err, ws[i].Std())
 		}
 	}
 	return s, nil
 }
 
 // Fig14 runs the crosstalk experiment for the paper's four configurations.
-func Fig14(seed int64) ([]Series, error) {
-	var out []Series
+func Fig14(seed int64) ([]stats.Series, error) {
+	var out []stats.Series
 	type cfg struct {
 		name  string
 		fixed float64
@@ -404,7 +370,7 @@ func Fig14(seed int64) ([]Series, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := Series{Name: c.name}
+		s := stats.Series{Name: c.name}
 		for _, r := range res {
 			s.X = append(s.X, float64(r.Inactive))
 			s.Y = append(s.Y, r.MeanPct)
@@ -417,14 +383,14 @@ func Fig14(seed int64) ([]Series, error) {
 
 // Fig15 synthesizes the production-DSLAM attenuation distribution: per-card
 // mean and standard deviation over 14 cards of 72 ports.
-func Fig15(seed int64) ([]Series, error) {
+func Fig15(seed int64) ([]stats.Series, error) {
 	d := dsl.DSLAM{Cards: 14, PortsPerCard: 72}
 	atten, err := dsl.Attenuations(d, seed)
 	if err != nil {
 		return nil, err
 	}
-	mean := Series{Name: "card-mean-dB"}
-	std := Series{Name: "card-std-dB"}
+	mean := stats.Series{Name: "card-mean-dB"}
+	std := stats.Series{Name: "card-std-dB"}
 	for c, card := range atten {
 		var w stats.Welford
 		for _, a := range card {
@@ -435,7 +401,7 @@ func Fig15(seed int64) ([]Series, error) {
 		std.X = append(std.X, float64(c+1))
 		std.Y = append(std.Y, w.Std())
 	}
-	return []Series{mean, std}, nil
+	return []stats.Series{mean, std}, nil
 }
 
 // LineCardTable reproduces the §5.2.3 numbers: average online line cards

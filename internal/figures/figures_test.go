@@ -2,51 +2,90 @@ package figures
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strings"
 	"testing"
 
+	"insomnia/internal/campaign"
+	"insomnia/internal/dsl"
 	"insomnia/internal/sim"
+	"insomnia/internal/stats"
 	"insomnia/internal/topology"
 	"insomnia/internal/trace"
 )
 
-// tinyDay builds a reduced scenario and runs a subset of schemes so figure
-// reductions can be tested quickly.
-func tinyDay(t *testing.T) *DayRuns {
-	t.Helper()
-	var busy trace.Profile
-	for i := range busy {
-		busy[i] = 0.5
+// smallDay is a unit-test-sized office day: 40 clients on 8 gateways over
+// the first hours of the day, under the given schemes.
+func smallDay(seed int64, hours float64, schemes ...sim.Scheme) dsl.Spec {
+	sp := dsl.Spec{
+		Name: "small-day", Seeds: []int64{seed}, Duration: hours * 3600,
+		Trace:    dsl.TraceSpec{Profile: "office", Clients: 40, Gateways: 8},
+		Topology: dsl.TopoSpec{Kind: "overlap", MeanInRange: 5},
 	}
-	tr, err := trace.Generate(trace.Config{
-		Clients: 40, APs: 8, Profile: busy, Seed: 3, Duration: 3 * 3600,
+	for _, sc := range schemes {
+		sp.Schemes = append(sp.Schemes, sc.String())
+	}
+	return sp
+}
+
+// runDay runs a one-seed day spec on the given number of workers.
+func runDay(t *testing.T, sp dsl.Spec, workers int) *DayRuns {
+	t.Helper()
+	var days []*DayRuns
+	err := RunDays(context.Background(), sp, campaign.Options{Workers: workers}, func(r *DayRuns) error {
+		days = append(days, r)
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := topology.OverlapGraph(8, 5, 3)
-	if err != nil {
-		t.Fatal(err)
+	if len(days) != 1 || len(days[0].Results) != len(sp.Schemes) {
+		t.Fatalf("got %d day(s), want one with %d schemes", len(days), len(sp.Schemes))
 	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &Scenario{Trace: tr, Topo: tp, Seed: 3}
-	runs, err := RunDay(sc, []sim.Scheme{sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch, sim.BH2NoBackup})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return runs
+	return days[0]
 }
 
-func TestNewScenario(t *testing.T) {
-	sc, err := NewScenario(1)
+// tinyDay runs a subset of schemes over a small office day so figure
+// reductions can be tested quickly. Ten hours reach the office morning.
+func tinyDay(t *testing.T) *DayRuns {
+	t.Helper()
+	return runDay(t, smallDay(3, 10, sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch, sim.BH2NoBackup), 0)
+}
+
+// TestDaySpec pins the day spec to the §5.1 scenario: the campaign builds
+// the uniform-placement office trace and the 5.6-overlap topology that
+// trace.DefaultSimConfig and topology.OverlapGraph describe, and every
+// seed runs every scheme, no-sleep first.
+func TestDaySpec(t *testing.T) {
+	plan, err := campaign.Compile(DaySpec([]int64{1, 2}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Trace.Cfg.Clients != 272 || sc.Topo.NumGateways != 40 {
-		t.Errorf("scenario shape: %d clients, %d gateways", sc.Trace.Cfg.Clients, sc.Topo.NumGateways)
+	if len(plan.Cells) != 2*len(DefaultSchemes) || plan.Cells[0].Scheme != sim.NoSleep {
+		t.Fatalf("day spec has %d cells starting with %v", len(plan.Cells), plan.Cells[0].Scheme)
+	}
+	tr, tp, err := campaign.BuildScenario(plan.Spec, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := trace.Generate(trace.DefaultSimConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tr.Cfg, want.Cfg) || !reflect.DeepEqual(tr.ClientAP, want.ClientAP) || len(tr.Flows) != len(want.Flows) {
+		t.Errorf("day spec trace differs from trace.DefaultSimConfig's")
+	}
+	g, err := topology.OverlapGraph(40, topology.DefaultMeanInRange, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTp, err := topology.FromOverlap(g, want.ClientAP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Cfg.Clients != 272 || tp.NumGateways != 40 || !reflect.DeepEqual(tp, wantTp) {
+		t.Errorf("scenario shape: %d clients, %d gateways", tr.Cfg.Clients, tp.NumGateways)
 	}
 }
 
@@ -212,38 +251,12 @@ func TestHourlyShortSeries(t *testing.T) {
 }
 
 func TestRunDayWorkerInvariance(t *testing.T) {
-	var busy trace.Profile
-	for i := range busy {
-		busy[i] = 0.5
-	}
-	tr, err := trace.Generate(trace.Config{
-		Clients: 40, APs: 8, Profile: busy, Seed: 4, Duration: 2 * 3600,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := topology.OverlapGraph(8, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tp, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := &Scenario{Trace: tr, Topo: tp, Seed: 4}
-	schemes := []sim.Scheme{sim.NoSleep, sim.SoI, sim.BH2KSwitch}
-	serial, err := RunDayWorkers(sc, schemes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunDayWorkers(sc, schemes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range schemes {
-		a, b := serial.Results[s], parallel.Results[s]
-		if a == nil || b == nil {
-			t.Fatalf("%v missing from runs", s)
+	sp := smallDay(4, 2, sim.NoSleep, sim.SoI, sim.BH2KSwitch)
+	serial, parallel := runDay(t, sp, 1), runDay(t, sp, 4)
+	for s, a := range serial.Results {
+		b := parallel.Results[s]
+		if b == nil {
+			t.Fatalf("%v missing from the parallel runs", s)
 		}
 		if a.Energy != b.Energy || a.Wakeups != b.Wakeups || a.Moves != b.Moves {
 			t.Errorf("%v differs between 1 and 4 workers: %+v vs %+v", s, a.Energy, b.Energy)
@@ -272,29 +285,6 @@ func TestFig15Shape(t *testing.T) {
 	}
 }
 
-func TestWriteSeriesCSV(t *testing.T) {
-	var buf bytes.Buffer
-	series := []Series{
-		{Name: "a", X: []float64{1, 2}, Y: []float64{10, 20}},
-		{Name: "b", X: []float64{1, 3}, Y: []float64{5, 7}, Err: []float64{0.5, 0.7}},
-	}
-	if err := WriteSeriesCSV(&buf, "x", series); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "x,a,b,b-stddev\n") {
-		t.Errorf("header: %q", strings.SplitN(out, "\n", 2)[0])
-	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 { // header + x=1,2,3
-		t.Fatalf("lines: %v", lines)
-	}
-	// x=2 has no b sample: trailing blanks.
-	if !strings.Contains(lines[2], "2,20,,") {
-		t.Errorf("row for x=2: %q", lines[2])
-	}
-}
-
 func TestWriteHistogramCSV(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteHistogramCSV(&buf, []string{"0-1", ">60"}, []float64{0.8, 0.2}); err != nil {
@@ -306,12 +296,12 @@ func TestWriteHistogramCSV(t *testing.T) {
 }
 
 func TestRenderASCII(t *testing.T) {
-	s := Series{Name: "demo", X: []float64{0, 1}, Y: []float64{1, 2}}
+	s := stats.Series{Name: "demo", X: []float64{0, 1}, Y: []float64{1, 2}}
 	out := RenderASCII(s, 10)
 	if !strings.Contains(out, "demo") || !strings.Contains(out, "##########") {
 		t.Errorf("ascii: %q", out)
 	}
-	if got := RenderASCII(Series{Name: "empty"}, 10); !strings.Contains(got, "empty") {
+	if got := RenderASCII(stats.Series{Name: "empty"}, 10); !strings.Contains(got, "empty") {
 		t.Errorf("empty ascii: %q", got)
 	}
 }

@@ -275,28 +275,3 @@ func FirstErr(outs []Outcome) error {
 	}
 	return nil
 }
-
-// SchemeJobs builds one job per scheme over a shared read-only scenario:
-// the base config is copied per job with only the scheme swapped, so every
-// run references the same trace and topology fixtures.
-func SchemeJobs(base sim.Config, schemes []sim.Scheme) []Job {
-	jobs := make([]Job, len(schemes))
-	for i, sc := range schemes {
-		cfg := base
-		cfg.Scheme = sc
-		jobs[i] = Job{Name: sc.String(), Config: cfg}
-	}
-	return jobs
-}
-
-// SeedJobs builds one job per seed over a shared read-only scenario — the
-// multi-seed sweeps the paper averages its day figures over.
-func SeedJobs(base sim.Config, seeds []int64) []Job {
-	jobs := make([]Job, len(seeds))
-	for i, seed := range seeds {
-		cfg := base
-		cfg.Seed = seed
-		jobs[i] = Job{Name: fmt.Sprintf("%v/seed%d", cfg.Scheme, seed), Config: cfg}
-	}
-	return jobs
-}

@@ -41,6 +41,18 @@ func scenario(t *testing.T, seed int64) (*trace.Trace, *topology.Topology) {
 	return tr, tp
 }
 
+// schemeJobs builds one job per scheme over the base config's shared
+// fixtures.
+func schemeJobs(base sim.Config, schemes ...sim.Scheme) []Job {
+	jobs := make([]Job, len(schemes))
+	for i, sc := range schemes {
+		cfg := base
+		cfg.Scheme = sc
+		jobs[i] = Job{Name: sc.String(), Config: cfg}
+	}
+	return jobs
+}
+
 // sameResult asserts the metrics the figures consume are identical: energy
 // joules, the full FCT vector, and the wakeup/move/resolve counters.
 func sameResult(t *testing.T, label string, a, b *sim.Result) {
@@ -76,10 +88,10 @@ func TestSameConfigTwiceIsDeterministic(t *testing.T) {
 func TestWorkerCountInvariance(t *testing.T) {
 	tr, tp := scenario(t, 22)
 	base := sim.Config{Trace: tr, Topo: tp, Seed: 22, K: 2}
-	jobs := SchemeJobs(base, []sim.Scheme{
+	jobs := schemeJobs(base,
 		sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.BH2KSwitch,
 		sim.BH2NoBackup, sim.Optimal, sim.Centralized,
-	})
+	)
 	serial := Runner{Workers: 1}.Run(context.Background(), jobs)
 	if err := FirstErr(serial); err != nil {
 		t.Fatal(err)
@@ -136,23 +148,17 @@ func TestEmptyAndDefaultPool(t *testing.T) {
 	}
 }
 
-func TestSeedJobsShareFixtures(t *testing.T) {
+// TestSeedsDiffer: jobs that differ only in their seed explore different
+// randomness over the same shared fixtures.
+func TestSeedsDiffer(t *testing.T) {
 	tr, tp := scenario(t, 25)
-	base := sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, K: 2}
-	jobs := SeedJobs(base, []int64{1, 2, 3})
-	for i, j := range jobs {
-		if j.Config.Trace != tr || j.Config.Topo != tp {
-			t.Fatalf("job %d does not share the scenario fixtures", i)
-		}
-		if j.Config.Seed != int64(i+1) {
-			t.Fatalf("job %d seed = %d", i, j.Config.Seed)
-		}
-	}
-	outs := Run(context.Background(), jobs)
+	cfg := sim.Config{Trace: tr, Topo: tp, Scheme: sim.BH2KSwitch, K: 2, Seed: 1}
+	other := cfg
+	other.Seed = 2
+	outs := Run(context.Background(), []Job{{Name: "seed1", Config: cfg}, {Name: "seed2", Config: other}})
 	if err := FirstErr(outs); err != nil {
 		t.Fatal(err)
 	}
-	// Different seeds must explore different randomness.
 	if outs[0].Result.Energy == outs[1].Result.Energy {
 		t.Error("seed sweep produced identical energy for different seeds")
 	}
@@ -204,9 +210,7 @@ func TestPanicDeterminismAcrossWorkers(t *testing.T) {
 		return sim.Run(cfg)
 	}
 	base := sim.Config{Trace: tr, Topo: tp, Seed: 27, K: 2}
-	jobs := SchemeJobs(base, []sim.Scheme{
-		sim.NoSleep, sim.SoI, sim.Optimal, sim.BH2KSwitch, sim.Centralized,
-	})
+	jobs := schemeJobs(base, sim.NoSleep, sim.SoI, sim.Optimal, sim.BH2KSwitch, sim.Centralized)
 	serial := Runner{Workers: 1, Exec: exec}.Run(context.Background(), jobs)
 	for _, workers := range []int{2, 4} {
 		parallel := Runner{Workers: workers, Exec: exec}.Run(context.Background(), jobs)

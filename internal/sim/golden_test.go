@@ -135,8 +135,9 @@ func goldenCases(t *testing.T) map[string]*Result {
 		}
 		out["seed9/"+sc.String()+"/failures"] = res
 	}
-	// Full-day §5 scenario (same construction as figures.NewScenario): the
-	// acceptance bar for engine refactors is byte-identical day-run metrics.
+	// Full-day §5 scenario (the one figures.DaySpec declares; its
+	// TestDaySpec pins the two constructions together): the acceptance
+	// bar for engine refactors is byte-identical day-run metrics.
 	if !testing.Short() {
 		tr, err := trace.Generate(trace.DefaultSimConfig(2))
 		if err != nil {
