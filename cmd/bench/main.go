@@ -7,8 +7,10 @@
 //   - the city scenario: a 10k-gateway / 100k-client residential metro
 //     (trace.DefaultCityConfig over topology.GridCity), duration-bounded so
 //     a trajectory point costs minutes, not hours — each scheme measured
-//     serially and again on the sharded engine (-shards lanes; identical
-//     results, so the pair reads as a speedup measurement);
+//     serially and again with -shards lanes requested (identical results,
+//     so the pair reads as a speedup measurement; BH² is not shard-local
+//     and takes the serial engine both times, so its
+//     city-sharded-BH2+k-switch pair reads about 1.0);
 //   - the symmetric-city sweep (-collapse): the same metro scale with
 //     `placement: symmetric`, run as a campaign with `collapse: off` and
 //     `collapse: auto`, recording the symmetry-collapse speedup ratio
@@ -249,10 +251,11 @@ func cityFixture(rep *perf.Report, name, scenario string, seed int64, gws, clien
 
 // benchCity runs the city scenario: trace generation is measured as its own
 // entry, then NoSleep (baseline), SoI and BH2 each get a serial trajectory
-// point and a sharded one ("city-sharded-*", shards lanes). Serial and
-// sharded results are byte-identical, so each pair is a pure speedup
-// measurement; the recorded shards/gomaxprocs metrics say whether the
-// machine could actually exploit the lanes.
+// point and one with shards lanes requested ("city-sharded-*"; BH2 runs
+// serially at every shard count). Serial and sharded results are
+// byte-identical, so each pair is a pure speedup measurement; the recorded
+// shards/gomaxprocs metrics say whether the machine could actually exploit
+// the lanes.
 func benchCity(rep *perf.Report, seed int64, gws, clients int, duration float64, shards int) error {
 	scenario := fmt.Sprintf("city: %d clients / %d gateways / %.0fs, seed %d",
 		clients, gws, duration, seed)

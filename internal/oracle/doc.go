@@ -8,9 +8,9 @@
 //     no-sleep and the SoI family — that re-simulates a small scenario one
 //     gateway at a time with straight-line code: no event heap, no shards,
 //     no epoch fences, no completion caches, no lazy sampling. Because a
-//     modeLocal gateway's trajectory depends only on its own clients'
-//     trace records and the global tick grid, and because every float
-//     operation is re-stated in the engine's exact order, the reference
+//     shard-local scheme's gateway trajectory depends only on its own
+//     clients' trace records and the global tick grid, and because every
+//     float operation is re-stated in the engine's exact order, the reference
 //     result must match sim.Run bit for bit (Diff uses ==, not
 //     tolerances). The switch fabric and line cards are pure sinks, so
 //     they replay afterwards from the merged per-gateway line-op streams

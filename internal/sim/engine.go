@@ -33,11 +33,6 @@ func (s *sim) run() {
 		s.runSharded()
 		return
 	}
-	if s.pool != nil {
-		// modeTick: serial event loop, parallel tick prep.
-		s.pool.start()
-		defer s.pool.stop()
-	}
 	var n int
 	for s.step() {
 		n++
@@ -469,7 +464,7 @@ func (s *sim) scheduleCompletion(sh *shard, g *gateway) {
 // ---- traffic entry points ----
 
 // flowArrival starts trace flow idx on lane sh. The strategy's route is
-// safe to call from a shard lane because modeLocal schemes route purely
+// safe to call from a shard lane because shard-local schemes route purely
 // (the client's immutable home); every other scheme runs single-lane.
 func (s *sim) flowArrival(sh *shard, idx, c int, up bool) {
 	f := &s.flows[idx]
@@ -558,18 +553,17 @@ func (s *sim) linkBps(c, gw int) float64 {
 // very tick) are handled identically to the dense loop: advanced, sampled,
 // and counted offline.
 //
-// When a worker pool is live, the per-gateway prep (controller advance,
-// transport elapse, estimator observation — all gateway-private state)
-// fans out in parallel first; the float reductions below then run serially
-// in ascending gateway id order, so the sums are bit-identical to the
-// serial interleaved loop.
+// The per-gateway prep (tickPrep) runs first, on the pool's workers in a
+// sharded run and inline otherwise; the float reductions below then run
+// serially in ascending gateway id order, so the sums are bit-identical at
+// every shard count.
 func (s *sim) tick() {
 	s.tickCount++
 	s.lastTickT = s.now
-	prepped := false
-	if s.pool != nil && s.pool.running {
+	if s.pool != nil {
 		s.pool.run(poolCmd{kind: cmdPrep, t: s.now})
-		prepped = true
+	} else {
+		s.tickPrep(&s.shards[0], s.now)
 	}
 	var userW, ispW float64
 	online := 0
@@ -584,17 +578,6 @@ func (s *sim) tick() {
 				gwID := base + bits.TrailingZeros64(word)
 				g := &s.gws[gwID]
 				word &= word - 1
-				if !prepped {
-					g.ctl.Advance(s.now)
-					// The estimator needs service progress up to now, not
-					// just up to the last transport event. Schemes that
-					// sample no load elapse here too: where the service
-					// intervals split shows in every pinned result.
-					s.elapse(g, s.now)
-					if s.needLoad {
-						g.est.Observe(s.now, g.sn.Value())
-					}
-				}
 				if s.weight == nil {
 					if g.ctl.State() != power.Sleeping {
 						online++
@@ -653,17 +636,20 @@ func (s *sim) tick() {
 	}
 }
 
-// tickPrepRange runs the per-gateway tick prep over one worker's span:
-// words [w0, w1) of sh's active bitset. Everything touched is private to
-// the gateway, so spans advance concurrently without synchronization.
-func (s *sim) tickPrepRange(sh *shard, w0, w1 int, now float64) {
-	for w := w0; w < w1; w++ {
-		word := sh.bits[w]
+// tickPrep advances, elapses and samples every gateway in lane sh's active
+// set to now. Everything touched is private to the gateway, so shard lanes
+// prep concurrently without synchronization.
+func (s *sim) tickPrep(sh *shard, now float64) {
+	for w, word := range sh.bits {
 		base := sh.lo + w<<6
 		for word != 0 {
 			g := &s.gws[base+bits.TrailingZeros64(word)]
 			word &= word - 1
 			g.ctl.Advance(now)
+			// The estimator needs service progress up to now, not just up
+			// to the last transport event. Schemes that sample no load
+			// elapse here too: where the service intervals split shows in
+			// every pinned result.
 			s.elapse(g, now)
 			if s.needLoad {
 				g.est.Observe(now, g.sn.Value())

@@ -277,8 +277,8 @@ func TestEventHeapOrdering(t *testing.T) {
 
 // TestLoadSamplingOnlyWhenRead pins the tick's load-estimator gate: only
 // BH² reads gateway load estimators, so only a BH² run leaves samples in
-// them. Serial, parallel-tick and sharded runs go through different
-// sampling sites; the goldens pin that the BH² results are unchanged.
+// them. Serial and sharded runs sample from different lanes; the goldens
+// pin that the BH² results are unchanged.
 func TestLoadSamplingOnlyWhenRead(t *testing.T) {
 	tr, tp, shelf := cityScenario(t, 5)
 	for _, shards := range []int{0, 2} {

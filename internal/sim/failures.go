@@ -327,8 +327,8 @@ func (s *sim) recoverGateway(g *gateway, now float64) {
 // noteService updates stranded accounting after client c's traffic was
 // routed to gateway gw at time t: an attempt on a dead gateway strands the
 // client, a served attempt reconnects a stranded one. Called from lane
-// context; in modeLocal both the client and its (home) gateway live on the
-// calling lane, so the writes stay lane-local.
+// context; in a sharded run both the client and its (home) gateway live on
+// the calling lane, so the writes stay lane-local.
 func (s *sim) noteService(c, gw int, t float64) {
 	if s.gws[gw].failDepth > 0 {
 		s.markStranded(c, gw, t)

@@ -41,15 +41,15 @@ type strategy interface {
 	// sleepCards reports whether line cards may follow the switch policy to
 	// sleep (false under no-sleep).
 	sleepCards() bool
-	// parallelMode classifies how far the sharded engine may parallelize
-	// the scheme while staying byte-identical to the serial engine (see
-	// shard.go): modeLocal when every non-tick event is statically
-	// shard-local, modeTick when the event order couples shards through a
-	// shared RNG but the tick work is per-gateway, modeSerial otherwise.
-	parallelMode() engineMode
+	// shardLocal reports whether every non-tick event of the scheme is
+	// statically shard-local, so the sharded engine (shard.go) may run it
+	// byte-identically to the serial engine. Schemes that couple gateways
+	// through a shared RNG or a global re-solve run serially at every
+	// shard count.
+	shardLocal() bool
 	// usesDemand reports whether the scheme reads the per-client demand
 	// counters (sim.clientBytes); the engine skips that accounting — and
-	// keeps the parallel tick free of shared writes — when it does not.
+	// keeps the sharded tick prep free of shared writes — when it does not.
 	usesDemand() bool
 	// usesLoad reports whether the scheme reads the gateways' load
 	// estimators (gateway.est); the engine samples them every tick only
@@ -95,7 +95,7 @@ func (baseScheme) onDecide(*sim, int)                     {}
 func (baseScheme) onResolve(*sim)                         {}
 func (baseScheme) onFailure(*sim, int, bool)              {}
 func (baseScheme) sleepCards() bool                       { return true }
-func (baseScheme) parallelMode() engineMode               { return modeSerial }
+func (baseScheme) shardLocal() bool                       { return false }
 func (baseScheme) usesDemand() bool                       { return false }
 func (baseScheme) usesLoad() bool                         { return false }
 

@@ -10,8 +10,10 @@ import (
 // bh2Scheme runs the paper's distributed BH² terminal algorithm (§3.2):
 // each terminal periodically observes in-range gateway loads through the
 // passive wifi SN-counting estimator and decides on its own jittered clock
-// whether to hitch-hike onto a neighbor or return home. The no-backup
-// ablation reuses this strategy with cfg.BH2.Backup forced to 0.
+// whether to hitch-hike onto a neighbor or return home. Decisions (and
+// sleeping-gateway routes) consume the shared decision RNG in global event
+// order, so BH² is not shard-local and runs on the serial engine. The
+// no-backup ablation reuses this strategy with cfg.BH2.Backup forced to 0.
 type bh2Scheme struct {
 	baseScheme
 	fabric fabric
@@ -20,11 +22,6 @@ type bh2Scheme struct {
 func (sc bh2Scheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 	return sc.fabric.build(cfg)
 }
-
-// Decisions (and sleeping-gateway routes) consume the shared decision RNG
-// in global event order, so the event loop stays serial; only the tick
-// work parallelizes.
-func (bh2Scheme) parallelMode() engineMode { return modeTick }
 
 // Terminals decide from the estimated loads of the gateways in range.
 func (bh2Scheme) usesLoad() bool { return true }
@@ -78,12 +75,7 @@ func (sc bh2Scheme) decide(s *sim, c int) {
 	if s.now-s.lastTraffic[c] > 2*s.cfg.BH2.EstWindow {
 		return
 	}
-	views := sc.views(s, c)
-	d := bh2.Decide(s.decRNG, s.cfg.BH2, s.clients[c].home, s.clients[c].assigned, views)
-	if s.cfg.DebugDecisions != nil {
-		s.cfg.DebugDecisions(s.now, c, views, d)
-	}
-	sc.apply(s, c, d)
+	sc.apply(s, c, bh2.Decide(s.decRNG, s.cfg.BH2, s.clients[c].home, s.clients[c].assigned, sc.views(s, c)))
 }
 
 func (sc bh2Scheme) apply(s *sim, c int, d bh2.Decision) {

@@ -39,4 +39,4 @@ func (noSleepScheme) sleepCards() bool { return false }
 
 // Routing is always the home gateway and nothing ever sleeps: every event
 // is shard-local.
-func (noSleepScheme) parallelMode() engineMode { return modeLocal }
+func (noSleepScheme) shardLocal() bool { return true }

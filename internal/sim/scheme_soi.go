@@ -17,4 +17,4 @@ func (sc soiScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
 
 // Routing is always the home gateway and wake/sleep side effects beyond the
 // gateway itself are pure switch-fabric sinks: every event is shard-local.
-func (soiScheme) parallelMode() engineMode { return modeLocal }
+func (soiScheme) shardLocal() bool { return true }

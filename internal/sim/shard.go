@@ -8,9 +8,9 @@ import (
 // The sharded event engine. One simulation is partitioned by gateway into S
 // independent lanes (see shard in state.go), each advanced by its own
 // worker goroutine, with a coordinator lane carrying the events that need
-// global order (metric ticks, BH2 decisions, re-solves). The partition is
-// exact, not approximate: results are byte-identical to the serial engine
-// at every shard count, pinned by golden_test.go / shard_test.go.
+// global order (metric ticks, failure events). The partition is exact, not
+// approximate: results are byte-identical to the serial engine at every
+// shard count, pinned by golden_test.go / shard_test.go.
 //
 // Why this is possible without rollback: the engine's cross-gateway state
 // splits into two classes.
@@ -23,51 +23,33 @@ import (
 //
 //   - Real coupling: shared RNG streams (BH2 decisions, RandomWake) and
 //     the coordinated schemes' global re-solves. These cannot be
-//     partitioned without changing the serial event order, so the engine
-//     degrades per scheme instead of approximating (engineMode below).
+//     partitioned without changing the serial event order, so only
+//     shard-local schemes (strategy.shardLocal) without RandomWake run
+//     here; every other run takes the serial engine at any shard count.
 //
 // Epoch barriers are the coordinator's own events: between two coordinator
 // events every remaining event is provably shard-local, so each lane runs
 // free until the fence time, then the barrier applies sink ops and the
 // coordinator event. With the default 1 s metric tick the fence overhead is
 // one pool rendezvous per simulated second.
-type engineMode uint8
-
-const (
-	// modeSerial: the scheme couples shards through more than sinks
-	// (global re-solves reading every client's demand, cross-shard
-	// routing); the run uses the serial engine regardless of Shards.
-	modeSerial engineMode = iota
-	// modeTick: the event loop stays serial (shared-RNG event order), but
-	// the per-gateway tick work — controller advance, transport elapse,
-	// estimator observation — fans out across workers. This is the BH2
-	// and RandomWake mode; ticks dominate those runs' gateway-state work.
-	modeTick
-	// modeLocal: every non-coordinator event is statically shard-local
-	// (routing is always the client's home gateway, no shared RNG), so
-	// shards run the full event loop in parallel between fences.
-	modeLocal
-)
 
 // buildLanes sets up the engine lanes for the configured shard count:
-// either the single serial lane or S shard lanes plus the coordinator.
-// allAwake seeds the active-gateway bitsets for schemes starting On.
+// S shard lanes plus the coordinator when the scheme is shard-local, the
+// single serial lane otherwise. allAwake seeds the active-gateway bitsets
+// for schemes starting On.
 func (s *sim) buildLanes(allAwake bool) {
 	nGW := len(s.gws)
 	n := s.cfg.Shards
 	if n > nGW {
 		n = nGW
 	}
-	if n < 2 || s.mode != modeLocal {
-		// Single lane covering everything. modeTick still fans the tick
-		// loop out over word ranges of this lane's bitset.
+	// RandomWake draws every wake delay from one shared stream in global
+	// event order; shard-local wakes would reorder the draws.
+	if n < 2 || !s.strat.shardLocal() || s.cfg.RandomWake {
 		s.shards = []shard{{lo: 0, hi: nGW, bits: make([]uint64, (nGW+63)/64)}}
 		s.main = &s.shards[0]
 		if allAwake {
 			seedBits(&s.shards[0])
-		}
-		if n >= 2 && s.mode == modeTick {
-			s.pool = newShardPool(s, tickSpans(&s.shards[0], n))
 		}
 		return
 	}
@@ -89,13 +71,14 @@ func (s *sim) buildLanes(allAwake bool) {
 		}
 	}
 	// The coordinator lane owns no gateways and no trace records — only
-	// the globally-ordered event heap (ticks, under modeLocal).
+	// the globally-ordered event heap (ticks and failure events).
 	s.co = shard{id: n, deferSinks: false}
 	s.main = &s.co
 
 	// Partition the trace streams by the client's home shard. Routing in
-	// modeLocal is always the home gateway, so a record's entire effect
-	// lands on that shard. Trace order within a shard is time order.
+	// a shard-local scheme is always the home gateway, so a record's
+	// entire effect lands on that shard. Trace order within a shard is
+	// time order.
 	// The orders start empty but non-nil: nil is the serial sentinel for
 	// "consume the whole stream", and a shard that happens to receive no
 	// records (quiet trace windows) must consume none, not all.
@@ -113,12 +96,7 @@ func (s *sim) buildLanes(allAwake bool) {
 		sh.keepOrder = append(sh.keepOrder, int32(i))
 	}
 	s.sinkIdx = make([]int, n)
-
-	spans := make([]poolSpan, n)
-	for i := range spans {
-		spans[i] = poolSpan{sh: &s.shards[i], w0: 0, w1: len(s.shards[i].bits)}
-	}
-	s.pool = newShardPool(s, spans)
+	s.pool = newShardPool(s)
 }
 
 func seedBits(sh *shard) {
@@ -128,21 +106,7 @@ func seedBits(sh *shard) {
 	sh.awakeN = sh.hi - sh.lo
 }
 
-// tickSpans splits one lane's bitset words into n contiguous ranges for
-// the parallel tick prep of modeTick.
-func tickSpans(sh *shard, n int) []poolSpan {
-	nW := len(sh.bits)
-	if n > nW && nW > 0 {
-		n = nW
-	}
-	spans := make([]poolSpan, n)
-	for i := range spans {
-		spans[i] = poolSpan{sh: sh, w0: i * nW / n, w1: (i + 1) * nW / n}
-	}
-	return spans
-}
-
-// runSharded drives a modeLocal run: epochs of parallel shard progress
+// runSharded drives a sharded run: epochs of parallel shard progress
 // separated by coordinator events. Cancellation is checked once per epoch
 // barrier — the natural rendezvous where every lane is quiescent.
 func (s *sim) runSharded() {
@@ -269,23 +233,14 @@ func (fs *fabricState) lineOp(line int, wake bool) {
 
 // ---- worker pool ----
 
-// shardPool owns the persistent worker goroutines. Workers idle on their
-// command channel between epochs; commands are plain values and the
-// rendezvous is WaitGroup-based, so a steady-state epoch allocates nothing.
+// shardPool owns the persistent worker goroutines, one per shard lane:
+// worker i advances s.shards[i]. Workers idle on their command channel
+// between epochs; commands are plain values and the rendezvous is
+// WaitGroup-based, so a steady-state epoch allocates nothing.
 type shardPool struct {
-	s       *sim
-	spans   []poolSpan
-	cmds    []chan poolCmd
-	wg      sync.WaitGroup
-	running bool
-}
-
-// poolSpan is one worker's assignment: a lane, and the bitset word range it
-// covers during tick prep (the full lane in modeLocal; a slice of the
-// single lane in modeTick).
-type poolSpan struct {
-	sh     *shard
-	w0, w1 int
+	s    *sim
+	cmds []chan poolCmd
+	wg   sync.WaitGroup
 }
 
 type poolCmd struct {
@@ -295,18 +250,14 @@ type poolCmd struct {
 
 const (
 	cmdPhase uint8 = iota + 1 // advance the lane to t (exclusive fence)
-	cmdPrep                   // tick prep over the span at time t
+	cmdPrep                   // tick prep of the lane at time t
 )
 
-func newShardPool(s *sim, spans []poolSpan) *shardPool {
-	return &shardPool{s: s, spans: spans, cmds: make([]chan poolCmd, len(spans))}
+func newShardPool(s *sim) *shardPool {
+	return &shardPool{s: s, cmds: make([]chan poolCmd, len(s.shards))}
 }
 
 func (p *shardPool) start() {
-	if p.running {
-		return
-	}
-	p.running = true
 	for i := range p.cmds {
 		p.cmds[i] = make(chan poolCmd, 1)
 		go p.worker(i)
@@ -314,10 +265,6 @@ func (p *shardPool) start() {
 }
 
 func (p *shardPool) stop() {
-	if !p.running {
-		return
-	}
-	p.running = false
 	for _, c := range p.cmds {
 		close(c)
 	}
@@ -335,16 +282,15 @@ func (p *shardPool) run(cmd poolCmd) {
 }
 
 func (p *shardPool) worker(i int) {
+	sh := &p.s.shards[i]
 	for cmd := range p.cmds[i] {
 		switch cmd.kind {
 		case cmdPhase:
-			sh := p.spans[i].sh
 			sh.fenceSeq = sh.seq
 			for p.s.stepLane(sh, cmd.t) {
 			}
 		case cmdPrep:
-			sp := p.spans[i]
-			p.s.tickPrepRange(sp.sh, sp.w0, sp.w1, cmd.t)
+			p.s.tickPrep(sh, cmd.t)
 		}
 		p.wg.Done()
 	}

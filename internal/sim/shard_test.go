@@ -21,10 +21,11 @@ func runShards(t *testing.T, cfg Config, shards int) string {
 	return fingerprint(res)
 }
 
-// TestShardDeterminism pins the tentpole contract: the sharded engine is
+// TestShardDeterminism pins the tentpole contract: results are
 // byte-identical to the serial engine at every shard count, for every
-// scheme family — full shard parallelism (NoSleep, SoI), parallel-tick
-// (BH2), and the serial-coupled coordinated schemes (Optimal, Centralized).
+// scheme family — the sharded engine (NoSleep, SoI) and the schemes that
+// take the serial engine at any shard count (BH2's shared decision RNG,
+// the coordinated schemes' global re-solves).
 func TestShardDeterminism(t *testing.T) {
 	tr, tp := smallScenario(t, 9)
 	schemes := []Scheme{NoSleep, SoI, SoIKSwitch, SoIFullSwitch, BH2KSwitch, Optimal, Centralized}
@@ -43,10 +44,10 @@ func TestShardDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardDeterminismRandomWake covers the forced mode downgrade: with
+// TestShardDeterminismRandomWake covers the forced downgrade: with
 // RandomWake the wake delays come from one shared stream in global event
-// order, so a modeLocal scheme must fall back to the serial event loop
-// (parallel tick only) and still match bit-for-bit.
+// order, so a shard-local scheme must fall back to the serial engine and
+// still match bit-for-bit.
 func TestShardDeterminismRandomWake(t *testing.T) {
 	tr, tp := smallScenario(t, 9)
 	cfg := Config{Trace: tr, Topo: tp, Scheme: SoI, Seed: 9, K: 2, RandomWake: true}
@@ -81,23 +82,56 @@ func cityScenario(t *testing.T, seed int64) (*trace.Trace, *topology.Topology, d
 }
 
 // TestShardedCity is the reduced city case the CI race job runs: a
-// multi-shard grid-city simulation under the schemes that actually exercise
-// the parallel paths (shard lanes + sink replay for SoI, parallel tick prep
-// for BH2), checked against the serial engine.
+// multi-shard grid-city SoI simulation (shard lanes + sink replay) checked
+// against the serial engine.
 func TestShardedCity(t *testing.T) {
 	tr, tp, shelf := cityScenario(t, 5)
-	for _, sc := range []Scheme{SoI, BH2KSwitch} {
-		sc := sc
-		t.Run(sc.String(), func(t *testing.T) {
-			t.Parallel()
-			cfg := Config{Trace: tr, Topo: tp, Scheme: sc, Seed: 5, DSLAM: shelf, K: 4}
-			want := runShards(t, cfg, 0)
-			for _, n := range []int{3, 4, 8} {
-				if got := runShards(t, cfg, n); got != want {
-					t.Errorf("shards=%d diverges from serial on grid city", n)
-				}
+	t.Run(SoI.String(), func(t *testing.T) {
+		cfg := Config{Trace: tr, Topo: tp, Scheme: SoI, Seed: 5, DSLAM: shelf, K: 4}
+		want := runShards(t, cfg, 0)
+		for _, n := range []int{3, 4, 8} {
+			if got := runShards(t, cfg, n); got != want {
+				t.Errorf("shards=%d diverges from serial on grid city", n)
 			}
-		})
+		}
+	})
+}
+
+// TestLaneLayout pins which runs take the sharded engine: at Shards 4 only
+// the shard-local schemes (no-sleep and the SoI family) build four lanes
+// and a worker pool. BH², the coordinated schemes and SoI under RandomWake
+// build the single serial lane and no pool.
+func TestLaneLayout(t *testing.T) {
+	tr, tp := smallScenario(t, 9)
+	for _, tc := range []struct {
+		scheme     Scheme
+		randomWake bool
+		lanes      int
+	}{
+		{NoSleep, false, 4},
+		{SoI, false, 4},
+		{SoIKSwitch, false, 4},
+		{SoIFullSwitch, false, 4},
+		{SoI, true, 1},
+		{BH2KSwitch, false, 1},
+		{BH2FullSwitch, false, 1},
+		{BH2NoBackup, false, 1},
+		{Optimal, false, 1},
+		{Centralized, false, 1},
+	} {
+		cfg, err := Config{Trace: tr, Topo: tp, Scheme: tc.scheme, Seed: 9, K: 2, Shards: 4, RandomWake: tc.randomWake}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPool := tc.lanes > 1
+		if len(s.shards) != tc.lanes || (s.pool != nil) != wantPool {
+			t.Errorf("%v randomwake=%v: %d lanes, pool %v; want %d lanes, pool %v",
+				tc.scheme, tc.randomWake, len(s.shards), s.pool != nil, tc.lanes, wantPool)
+		}
 	}
 }
 

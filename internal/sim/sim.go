@@ -138,9 +138,10 @@ type Config struct {
 
 	// Shards is the engine shard count: >= 2 partitions the event engine
 	// by gateway across that many worker goroutines (see shard.go), 0 or 1
-	// runs the classic serial engine. Results are byte-identical at every
-	// value — schemes whose coupling forbids safe partitioning degrade to
-	// parallel-tick or serial execution automatically — so the knob trades
+	// runs the classic serial engine. Only no-sleep and the SoI family
+	// without RandomWake partition; every other scheme couples gateways
+	// (shared RNG streams, global re-solves) and runs serially at any
+	// value. Results are byte-identical at every value, so the knob trades
 	// wall-clock only, never fidelity.
 	Shards int
 
@@ -155,10 +156,6 @@ type Config struct {
 	// coupling (shared RNG streams, k-switch remap order, global
 	// re-solves) breaks the class symmetry.
 	Quotient *QuotientPlan
-
-	// DebugDecisions, when set, observes every BH2 decision (diagnostics
-	// and tests only).
-	DebugDecisions func(t float64, client int, views []bh2.GatewayView, d bh2.Decision)
 }
 
 // QuotientPlan describes how a collapsed run maps back onto the full

@@ -365,26 +365,6 @@ func TestDecisionReasonsExposed(t *testing.T) {
 	}
 }
 
-func TestDebugDecisionsHook(t *testing.T) {
-	tr, tp := smallScenario(t, 18)
-	calls := 0
-	_, err := Run(Config{
-		Trace: tr, Topo: tp, Scheme: BH2KSwitch, Seed: 18, K: 2,
-		DebugDecisions: func(tm float64, c int, views []bh2.GatewayView, d bh2.Decision) {
-			calls++
-			if tm < 0 || c < 0 || len(views) == 0 {
-				t.Errorf("bad hook args: t=%v c=%d views=%d", tm, c, len(views))
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Error("debug hook never called")
-	}
-}
-
 func TestLargeScaleDSLAM(t *testing.T) {
 	// §4.1 notes real DSLAMs serve 1000+ ports. Exercise the simulator at
 	// that scale: 20 cards of 48 ports, 800 gateways, 2400 clients, one

@@ -105,7 +105,7 @@ type sinkOp struct {
 // every gateway and every trace record (flowOrder/keepOrder nil), with sink
 // ops applied inline (deferSinks false). The sharded engine (shard.go) runs
 // S lanes plus a coordinator lane that carries only the globally-ordered
-// events (ticks, BH2 decisions, re-solves).
+// events (ticks, failure events).
 type shard struct {
 	id     int
 	lo, hi int // gateway id range [lo, hi)
@@ -175,16 +175,15 @@ type sim struct {
 	shelf   *power.Device
 
 	// Engine lanes. shards hold the gateway-owning lanes (length 1 unless
-	// the run is modeLocal with Config.Shards >= 2); main is the lane
+	// the scheme is shard-local and Config.Shards >= 2); main is the lane
 	// strategy code, ticks and the serial driver execute on — &shards[0]
 	// in single-lane runs, the coordinator lane co in sharded ones.
 	shards  []shard
 	co      shard
 	main    *shard
-	gwShard []int32 // gateway -> owning shard index; nil when single-lane
-	mode    engineMode
-	pool    *shardPool
-	sinkIdx []int // drainSinks merge cursors (reused across epochs)
+	gwShard []int32    // gateway -> owning shard index; nil when single-lane
+	pool    *shardPool // shard workers; nil when single-lane
+	sinkIdx []int      // drainSinks merge cursors (reused across epochs)
 
 	// Quotient expansion (Config.Quotient non-nil, nil otherwise).
 	// mirror[q] lists the full-scenario line ids gateway q stands for,
@@ -196,8 +195,8 @@ type sim struct {
 
 	// needDemand gates the per-client demand accounting (clientBytes):
 	// only the coordinated schemes ever read it (demandInstance), so the
-	// hot transport path skips the accumulation — and the parallel tick
-	// never writes shared state — for every other scheme.
+	// hot transport path skips the accumulation — and the sharded tick
+	// prep never writes shared state — for every other scheme.
 	needDemand bool
 	// needLoad gates the per-tick load-estimator sampling: only BH²
 	// terminals read the estimators.
@@ -292,13 +291,6 @@ func newSim(cfg Config) (*sim, error) {
 			s.mirror[q] = append(s.mirror[q], int32(line))
 			s.weight[q]++
 		}
-	}
-	s.mode = strat.parallelMode()
-	if cfg.RandomWake && s.mode == modeLocal {
-		// RandomWake draws every wake delay from one shared stream in
-		// global event order; shard-local wakes would reorder the draws.
-		// The parallel-tick mode keeps the event loop serial.
-		s.mode = modeTick
 	}
 	s.needDemand = strat.usesDemand()
 	s.needLoad = strat.usesLoad()

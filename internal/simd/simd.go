@@ -355,7 +355,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		id: id, dir: dir, name: job.Plan().Spec.Name, cells: len(job.Plan().Cells),
 		log: newEventLog(), job: job, state: "running",
 	}
-	writeStatus(dir, st.status())
+	// restore skips a job directory without a status file, so a job whose
+	// status never reached disk must not run: it would vanish on restart.
+	if err := writeStatus(dir, st.status()); err != nil {
+		job.Cancel()
+		<-job.Done()
+		writeError(w, http.StatusInternalServerError, "persist status: %v", err)
+		return
+	}
 	s.mu.Lock()
 	s.jobs[id] = st
 	s.mu.Unlock()

@@ -318,6 +318,48 @@ func TestServerErrorMapping(t *testing.T) {
 	}
 }
 
+// TestSubmitStatusWriteFailure: restore skips a job directory without a
+// status file, so a job whose status cannot be persisted must not run —
+// it would vanish from the API after a restart. The submit answers 500,
+// lists no job and leaves no budget slot held.
+func TestSubmitStatusWriteFailure(t *testing.T) {
+	data := t.TempDir()
+	budget := runner.NewBudget(2)
+	_, hs := newTestServer(t, data, budget)
+	// A directory where the next job's status temp file goes makes the
+	// status write fail after the job has started.
+	if err := os.MkdirAll(filepath.Join(data, "jobs", "c0001", ".status.json.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(hs.URL+"/v1/campaigns", "application/yaml", strings.NewReader(slowSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "persist status") {
+		t.Fatalf("submit with unwritable status: got %d %s, want 500 persist status", resp.StatusCode, body)
+	}
+	if n := budget.InUse(); n != 0 {
+		t.Fatalf("%d budget slots still held after the failed submit", n)
+	}
+	resp, err = http.Get(hs.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []Status
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 0 {
+		t.Fatalf("failed submit left %d job(s) listed: %+v", len(list), list)
+	}
+}
+
 // TestServerCancelFreesBudget cancels a job mid-run: the job settles as
 // canceled promptly and every budget slot is back, ready for other jobs.
 func TestServerCancelFreesBudget(t *testing.T) {
