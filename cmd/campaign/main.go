@@ -24,6 +24,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"syscall"
 
 	"insomnia/internal/campaign"
 	"insomnia/internal/cli"
@@ -130,10 +131,10 @@ func cmdRun(args []string) {
 		log.Fatalf("unknown -collapse mode %q (known: auto, off)", *collapse)
 	}
 	plan := loadPlan(specPath)
-	// Ctrl-C cancels the job cleanly: in-flight cells abort at their next
-	// epoch barrier and the manifest keeps everything completed, so the
-	// same command with -resume continues where this one stopped.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// Ctrl-C or SIGTERM cancels the job cleanly: in-flight cells abort at
+	// their next epoch barrier and the manifest keeps everything completed,
+	// so the same command with -resume continues where this one stopped.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	job, err := plan.Submit(ctx, campaign.Options{
 		Workers: *workers, Shards: *shards, OutDir: *out, Resume: *resume,

@@ -24,12 +24,15 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
+	"syscall"
 	"time"
 
+	"insomnia/internal/cli"
 	"insomnia/internal/runner"
 	"insomnia/internal/simd"
 )
@@ -41,8 +44,14 @@ func main() {
 	data := flag.String("data", "simd-data", "data directory (one subdirectory per job)")
 	budget := flag.Int("budget", 0, "max concurrent simulations across all jobs (0 = GOMAXPROCS)")
 	flag.Parse()
+	if err := cli.RejectArgs("simd", flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	// SIGTERM is what `docker stop` sends the shipped container.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	srv, err := simd.New(ctx, *data, runner.NewBudget(*budget))

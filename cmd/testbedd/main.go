@@ -14,7 +14,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
+	"insomnia/internal/cli"
 	"insomnia/internal/testbed"
 )
 
@@ -27,6 +29,11 @@ func main() {
 	soi := flag.Bool("soi", false, "run plain SoI instead of BH2")
 	seed := flag.Int64("seed", 1, "RNG seed")
 	flag.Parse()
+	if err := cli.RejectArgs("testbedd", flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	mode := "BH2"
 	if *soi {

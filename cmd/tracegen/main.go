@@ -17,7 +17,7 @@ import (
 	"log"
 	"os"
 
-	"insomnia/internal/campaign"
+	"insomnia/internal/cli"
 	"insomnia/internal/sim"
 	"insomnia/internal/topology"
 	"insomnia/internal/trace"
@@ -37,6 +37,11 @@ func main() {
 	iters := flag.Int("iters", 100, "adversarial hill-climb iterations")
 	duration := flag.Float64("duration", 3600, "adversarial trace duration in seconds")
 	flag.Parse()
+	if err := cli.RejectArgs("tracegen", flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *adversarial != "" {
 		runAdversarial(*adversarial, *clients, *aps, *seed, *duration, *iters, *out)
@@ -77,7 +82,9 @@ func main() {
 		if err := tr.WriteBinary(f); err != nil {
 			log.Fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 		log.Printf("wrote %s", *out)
 	}
 	if *csvPath != "" {
@@ -88,7 +95,9 @@ func main() {
 		if err := tr.WriteFlowsCSV(f); err != nil {
 			log.Fatal(err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
 		log.Printf("wrote %s", *csvPath)
 	}
 	if !*showStats {
@@ -114,7 +123,7 @@ func main() {
 // scheme's wakeup count and reports (and optionally stores) the worst
 // case found.
 func runAdversarial(scheme string, clients, aps int, seed int64, duration float64, iters int, out string) {
-	sc, err := campaign.SchemeByName(scheme)
+	sc, err := sim.ParseScheme(scheme)
 	if err != nil {
 		log.Fatal(err)
 	}

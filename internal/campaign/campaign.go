@@ -35,20 +35,8 @@ import (
 )
 
 // SchemeByName maps a canonical scheme name (dsl.SchemeNames) to the
-// sim.Scheme it denotes. The mapping is pinned to sim.Scheme.String() by
-// TestSchemeNamesMatchSim.
-func SchemeByName(name string) (sim.Scheme, error) {
-	for _, sc := range []sim.Scheme{
-		sim.NoSleep, sim.SoI, sim.SoIKSwitch, sim.SoIFullSwitch,
-		sim.BH2KSwitch, sim.BH2FullSwitch, sim.BH2NoBackup,
-		sim.Optimal, sim.Centralized,
-	} {
-		if sc.String() == name {
-			return sc, nil
-		}
-	}
-	return 0, fmt.Errorf("campaign: unknown scheme %q", name)
-}
+// sim.Scheme it denotes; see sim.ParseScheme.
+func SchemeByName(name string) (sim.Scheme, error) { return sim.ParseScheme(name) }
 
 // Cell is one (scenario variant, seed, scheme) simulation in a campaign.
 type Cell struct {
@@ -113,7 +101,7 @@ func Compile(spec dsl.Spec) (*Plan, error) {
 	for vi, v := range p.variants {
 		for _, seed := range spec.Seeds {
 			for _, name := range spec.Schemes {
-				sc, err := SchemeByName(name)
+				sc, err := sim.ParseScheme(name)
 				if err != nil {
 					return nil, specErr(err)
 				}
@@ -443,7 +431,7 @@ func reduce(c Cell, duration float64, res *sim.Result, withPower bool, f *fixtur
 		weights = f.geom.flowWeights()
 	}
 	row.FCTP50, row.FCTP95 = fctPercentiles(res.FCT, weights)
-	if f != nil && f.geom != nil && schemeCollapsible(c.Scheme) {
+	if f != nil && f.geom != nil && sim.Collapsible(c.Scheme) {
 		row.CollapsedClasses = len(f.geom.q.Classes)
 	}
 	if res.GatewayDownTime != nil {

@@ -20,9 +20,9 @@ import (
 //
 // The pass is conservative: it collapses only what is provably exact.
 //
-//   - Only the uncoupled schemes (no-sleep, SoI, SoI+full-switch) collapse;
-//     everything with cross-gateway coupling — shared decision/wake RNG
-//     streams, k-switch remap order, global re-solves — runs full.
+//   - Only sim.Collapsible schemes collapse; everything with
+//     cross-gateway coupling — shared decision/wake RNG streams, k-switch
+//     remap order, global re-solves — runs full.
 //   - Only graph-backed topologies (grid-city, overlap) canonicalize;
 //     binomial runs full.
 //   - Failure-affected gateways are forced into singleton classes, with
@@ -33,17 +33,6 @@ import (
 //
 // Artifacts are byte-identical under `collapse: auto` and `collapse: off`
 // at every worker and shard count — pinned by TestCollapseByteIdentical.
-
-// schemeCollapsible reports whether sc's dynamics are provably symmetric
-// across equivalence classes. Must stay in sync with the schemes
-// sim.Config.Quotient accepts.
-func schemeCollapsible(sc sim.Scheme) bool {
-	switch sc {
-	case sim.NoSleep, sim.SoI, sim.SoIFullSwitch:
-		return true
-	}
-	return false
-}
 
 // collapseGeometry is the symmetry structure of one (variant, seed) group:
 // the gateway partition plus, once materialized, the quotient scenario the

@@ -502,7 +502,7 @@ func (p *Plan) engineRuns(pending []Cell, fixtures map[groupKey]*fixture, opts O
 	for i, c := range pending {
 		g := groupKey{c.variant, c.Seed}
 		mode := collapseMode(opts.Collapse, p.variants[c.variant].spec.Collapse)
-		k := runKey{g, mode == "auto" && schemeCollapsible(c.Scheme) && fixtures[g].geom != nil, sim.GatewaySide(c.Scheme)}
+		k := runKey{g, mode == "auto" && sim.Collapsible(c.Scheme) && fixtures[g].geom != nil, sim.GatewaySide(c.Scheme)}
 		if n := len(runs); n > 0 && k == last {
 			// cells is a window on pending: widen it by the next cell.
 			runs[n-1].cells = runs[n-1].cells[:len(runs[n-1].cells)+1]
@@ -549,7 +549,7 @@ func (p *Plan) buildFixtures(ctx context.Context, pending []Cell, opts Options) 
 			need[k] = n
 		}
 		mode := collapseMode(opts.Collapse, p.variants[c.variant].spec.Collapse)
-		if mode == "auto" && schemeCollapsible(c.Scheme) {
+		if mode == "auto" && sim.Collapsible(c.Scheme) {
 			n.quot = true
 		} else {
 			n.full = true

@@ -11,8 +11,8 @@ package dsl
 // is the CLI.
 //
 // The package stays simulation-agnostic: schemes are referenced by their
-// canonical names (SchemeNames) so dsl does not import internal/sim; the
-// campaign layer owns the name -> sim.Scheme mapping and a test pins the
+// canonical names (SchemeNames) so dsl does not import internal/sim;
+// sim.ParseScheme owns the name -> sim.Scheme mapping and a test pins the
 // two lists to each other.
 
 import (

@@ -318,12 +318,6 @@ func (f *FullSwitch) Repack() {
 	}
 }
 
-// RandomInitialPorts is a convenience wrapper over dsl.RandomAssignment for
-// wiring n lines to a DSLAM.
-func RandomInitialPorts(d dsl.DSLAM, n int, seed int64) ([]int, error) {
-	return dsl.RandomAssignment(d, n, seed)
-}
-
 // SimulateSleepProbability estimates, by Monte Carlo, the probability that
 // each card of a k-card group sleeps when every line is independently
 // active with probability p and the k-switches pack ideally (the setting of

@@ -42,9 +42,9 @@ func Supported(sc sim.Scheme) bool {
 }
 
 // schemeParams pins the scheme-dependent knobs the interpreter needs,
-// mirroring the engine's strategy plumbing (scheme_nosleep.go,
-// scheme_soi.go): initial device state, effective idle timeout, switch
-// fabric, and whether cards are allowed to sleep.
+// restating the engine's scheme catalogue rows (internal/sim/scheme.go):
+// initial device state, effective idle timeout, switch fabric, and
+// whether cards are allowed to sleep.
 type schemeParams struct {
 	initial    power.State
 	idle       float64

@@ -10,8 +10,8 @@
 //   - the trace was generated with symmetric placement (trace.Config.
 //     Symmetric), so equal-count gateways carry byte-identical workloads;
 //   - the scheme routes every client to its home gateway and has no
-//     cross-gateway coupling beyond the DSLAM switch fabric (no-sleep,
-//     SoI, SoI+full-switch — see campaign's schemeCollapsible);
+//     cross-gateway coupling beyond the DSLAM switch fabric
+//     (sim.Collapsible);
 //   - failure-affected gateways are pinned into singleton classes
 //     (forced), so stranding and recovery dynamics stay per-gateway exact.
 //

@@ -300,9 +300,9 @@ func (s *sim) gwCheck(sh *shard, g *gateway) {
 }
 
 // updateCards reconciles fabric fs's line-card power states with its
-// switch policy.
+// switch policy. Under an alwaysOn scheme the cards never sleep.
 func (s *sim) updateCards(fs *fabricState, t float64) {
-	if !s.strat.sleepCards() {
+	if catalogue[fs.scheme].alwaysOn {
 		return
 	}
 	fs.cardBuf = fs.policy.CardsAwakeInto(fs.cardBuf)

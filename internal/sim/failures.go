@@ -384,17 +384,3 @@ func (s *sim) unstrand(c int, t float64, reconnected bool) {
 		s.reconnN[c]++
 	}
 }
-
-// scheduleFailureResolve queues an immediate one-shot re-solve for the
-// coordinated schemes' failure reaction. Pushing an event (rather than
-// resolving inline) lets every failure of the same instant land first — an
-// outage fails its whole area before the controller reacts — and the
-// one-instant dedup keeps an area outage from triggering one solve per
-// gateway.
-func scheduleFailureResolve(s *sim) {
-	if s.lastFailResolve == s.now {
-		return
-	}
-	s.lastFailResolve = s.now
-	s.push(event{t: s.now, kind: evResolve, aux: 1})
-}

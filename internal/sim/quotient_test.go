@@ -241,7 +241,7 @@ func TestQuotientFailures(t *testing.T) {
 // must refuse a quotient plan instead of producing silently-wrong numbers.
 func TestQuotientRejectsCoupledSchemes(t *testing.T) {
 	fx := buildQuotientFixture(t, 36, 144, 9, nil)
-	for _, sc := range []Scheme{SoIKSwitch, BH2KSwitch, BH2FullSwitch, Optimal, Centralized} {
+	for _, sc := range []Scheme{SoIKSwitch, BH2KSwitch, BH2FullSwitch, BH2NoBackup, Optimal, Centralized} {
 		cfg := fx.quot
 		cfg.Scheme = sc
 		if _, err := Run(cfg); err == nil {

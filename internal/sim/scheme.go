@@ -4,23 +4,82 @@ import (
 	"fmt"
 
 	"insomnia/internal/kswitch"
-	"insomnia/internal/power"
 )
 
-// strategy is the scheme-specific half of the simulator. The engine core
-// (engine.go) owns time, transport and power accounting; everything that
-// differs between the paper's schemes — initial device states, switch
-// fabric, routing, periodic decisions and re-solves — lives behind this
-// interface, one scheme_*.go file per scheme family. Strategies hold no
-// mutable state of their own: all run state stays on *sim, so concurrent
-// runs (internal/runner) never share anything writable.
+// schemeRow is one scheme's static facts. Everything the engine, the
+// campaign layer and the CLIs need to know about a scheme, short of the
+// code in its strategy, is a column of its row in catalogue.
+type schemeRow struct {
+	name   string   // canonical spelling: String, ParseScheme, dsl.SchemeNames
+	side   Scheme   // gateway side (GatewaySide)
+	fabric fabric   // DSLAM switch fabric the lines go through (§4)
+	strat  strategy // routing, decisions and re-solves
+
+	collapsible bool // see Collapsible
+	// shardLocal: every non-tick event is statically shard-local, so the
+	// sharded engine (shard.go) may run the scheme byte-identically to the
+	// serial engine. Schemes that couple gateways through a shared RNG or
+	// a global re-solve run serially at every shard count.
+	shardLocal bool
+	// alwaysOn: every device starts On, the idle timeout is infinite and
+	// line cards never sleep.
+	alwaysOn bool
+	// fiatWake: gateways sleep only when the resolver closes them
+	// (infinite idle timeout) and wake with zero delay.
+	fiatWake bool
+	// readsDemand: the strategy reads the per-client demand counters
+	// (sim.clientBytes); the engine skips that accounting — and keeps the
+	// sharded tick prep free of shared writes — for every other scheme.
+	readsDemand bool
+	// readsLoad: the strategy reads the gateways' load estimators
+	// (gateway.est); the engine samples them every tick only when it does.
+	readsLoad bool
+}
+
+// catalogue holds every scheme's row, indexed by Scheme. BH2-nobackup
+// shares BH2+k-switch's strategy and fabric; Config.withDefaults forces
+// its cfg.BH2.Backup to 0, which is why it has a gateway side of its own.
+var catalogue = [...]schemeRow{
+	NoSleep:       {name: "no-sleep", side: NoSleep, fabric: fixedFabric, strat: noSleepScheme{}, collapsible: true, shardLocal: true, alwaysOn: true},
+	SoI:           {name: "SoI", side: SoI, fabric: fixedFabric, strat: baseScheme{}, collapsible: true, shardLocal: true},
+	SoIKSwitch:    {name: "SoI+k-switch", side: SoI, fabric: kSwitchFabric, strat: baseScheme{}, shardLocal: true},
+	SoIFullSwitch: {name: "SoI+full-switch", side: SoI, fabric: fullSwitchFabric, strat: baseScheme{}, collapsible: true, shardLocal: true},
+	BH2KSwitch:    {name: "BH2+k-switch", side: BH2KSwitch, fabric: kSwitchFabric, strat: bh2Scheme{}, readsLoad: true},
+	BH2FullSwitch: {name: "BH2+full-switch", side: BH2KSwitch, fabric: fullSwitchFabric, strat: bh2Scheme{}, readsLoad: true},
+	BH2NoBackup:   {name: "BH2-nobackup+k-switch", side: BH2NoBackup, fabric: kSwitchFabric, strat: bh2Scheme{}, readsLoad: true},
+	Optimal:       {name: "optimal", side: Optimal, fabric: fullSwitchFabric, strat: optimalScheme{}, fiatWake: true, readsDemand: true},
+	Centralized:   {name: "centralized+k-switch", side: Centralized, fabric: kSwitchFabric, strat: centralizedScheme{}, readsDemand: true},
+}
+
+// known reports whether sc has a catalogue row.
+func (sc Scheme) known() bool { return sc >= 0 && int(sc) < len(catalogue) }
+
+// ParseScheme maps a canonical scheme name (Scheme.String, the names specs
+// use) to its Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	for sc := range catalogue {
+		if catalogue[sc].name == name {
+			return Scheme(sc), nil
+		}
+	}
+	return 0, fmt.Errorf("sim: unknown scheme %q", name)
+}
+
+// Collapsible reports whether sc may run as the gateway-equivalence
+// quotient of a symmetric scenario (Config.Quotient): every client routes
+// home and nothing couples gateways but a fabric whose repacking depends
+// only on how many lines are awake, so the members of a class behave
+// identically. The other schemes couple gateways through shared RNG
+// streams, k-switch remap order or global re-solves.
+func Collapsible(sc Scheme) bool { return sc.known() && catalogue[sc].collapsible }
+
+// strategy is the behaviour half of a scheme. The engine core (engine.go)
+// owns time, transport and power accounting, and the catalogue row the
+// static facts; what is left — routing, periodic decisions and re-solves —
+// lives behind this interface, one scheme_*.go file per family.
+// Strategies hold no mutable state of their own: all run state stays on
+// *sim, so concurrent runs (internal/runner) never share anything writable.
 type strategy interface {
-	// initialState is the power state gateways, modems and cards start in.
-	initialState() power.State
-	// timeouts returns the gateway controller's idle timeout and wake delay.
-	timeouts(cfg Config) (idle, wake float64)
-	// newPolicy builds the DSLAM switch policy the scheme runs over.
-	newPolicy(cfg Config) (kswitch.Policy, error)
 	// postInit runs after devices and policy exist, before any event fires.
 	postInit(s *sim)
 	// seedEvents pushes the scheme's recurring events at t=0.
@@ -38,66 +97,19 @@ type strategy interface {
 	// terminals only notice failures through missing beacons at their next
 	// decision, and plain SoI not at all.
 	onFailure(s *sim, gw int, up bool)
-	// sleepCards reports whether line cards may follow the switch policy to
-	// sleep (false under no-sleep).
-	sleepCards() bool
-	// shardLocal reports whether every non-tick event of the scheme is
-	// statically shard-local, so the sharded engine (shard.go) may run it
-	// byte-identically to the serial engine. Schemes that couple gateways
-	// through a shared RNG or a global re-solve run serially at every
-	// shard count.
-	shardLocal() bool
-	// usesDemand reports whether the scheme reads the per-client demand
-	// counters (sim.clientBytes); the engine skips that accounting — and
-	// keeps the sharded tick prep free of shared writes — when it does not.
-	usesDemand() bool
-	// usesLoad reports whether the scheme reads the gateways' load
-	// estimators (gateway.est); the engine samples them every tick only
-	// when it does.
-	usesLoad() bool
 }
 
-// newStrategy maps a Scheme constant to its strategy implementation.
-func newStrategy(sc Scheme) (strategy, error) {
-	switch sc {
-	case NoSleep:
-		return noSleepScheme{}, nil
-	case SoI:
-		return soiScheme{fabric: fixedFabric}, nil
-	case SoIKSwitch:
-		return soiScheme{fabric: kSwitchFabric}, nil
-	case SoIFullSwitch:
-		return soiScheme{fabric: fullSwitchFabric}, nil
-	case BH2KSwitch, BH2NoBackup: // no-backup differs only via cfg.BH2.Backup
-		return bh2Scheme{fabric: kSwitchFabric}, nil
-	case BH2FullSwitch:
-		return bh2Scheme{fabric: fullSwitchFabric}, nil
-	case Optimal:
-		return optimalScheme{}, nil
-	case Centralized:
-		return centralizedScheme{}, nil
-	default:
-		return nil, fmt.Errorf("sim: unknown scheme %v", sc)
-	}
-}
-
-// baseScheme supplies the defaults shared by every scheme: gateways start
-// asleep with the configured timeouts, clients stick to their home gateway,
-// cards may sleep, and there are no periodic scheme events.
+// baseScheme is plain Sleep-on-Idle (§2.3) and the defaults every other
+// strategy embeds: clients stick to their home gateway and there are no
+// scheme events. The three SoI rows differ only in their fabric.
 type baseScheme struct{}
 
-func (baseScheme) initialState() power.State              { return power.Sleeping }
-func (baseScheme) timeouts(cfg Config) (float64, float64) { return cfg.IdleTimeout, cfg.WakeDelay }
-func (baseScheme) postInit(*sim)                          {}
-func (baseScheme) seedEvents(*sim)                        {}
-func (baseScheme) route(s *sim, c int) int                { return s.clients[c].home }
-func (baseScheme) onDecide(*sim, int)                     {}
-func (baseScheme) onResolve(*sim)                         {}
-func (baseScheme) onFailure(*sim, int, bool)              {}
-func (baseScheme) sleepCards() bool                       { return true }
-func (baseScheme) shardLocal() bool                       { return false }
-func (baseScheme) usesDemand() bool                       { return false }
-func (baseScheme) usesLoad() bool                         { return false }
+func (baseScheme) postInit(*sim)             {}
+func (baseScheme) seedEvents(*sim)           {}
+func (baseScheme) route(s *sim, c int) int   { return s.clients[c].home }
+func (baseScheme) onDecide(*sim, int)        {}
+func (baseScheme) onResolve(*sim)            {}
+func (baseScheme) onFailure(*sim, int, bool) {}
 
 // fabric selects the DSLAM switch model a scheme runs over (§4).
 type fabric int

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"insomnia/internal/bh2"
-	"insomnia/internal/kswitch"
 	"insomnia/internal/power"
 	"insomnia/internal/stats"
 )
@@ -14,17 +13,7 @@ import (
 // sleeping-gateway routes) consume the shared decision RNG in global event
 // order, so BH² is not shard-local and runs on the serial engine. The
 // no-backup ablation reuses this strategy with cfg.BH2.Backup forced to 0.
-type bh2Scheme struct {
-	baseScheme
-	fabric fabric
-}
-
-func (sc bh2Scheme) newPolicy(cfg Config) (kswitch.Policy, error) {
-	return sc.fabric.build(cfg)
-}
-
-// Terminals decide from the estimated loads of the gateways in range.
-func (bh2Scheme) usesLoad() bool { return true }
+type bh2Scheme struct{ baseScheme }
 
 // seedEvents spreads the first decision of every terminal uniformly over
 // one period so the population never decides in lockstep.

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"insomnia/internal/kswitch"
 	"insomnia/internal/optimal"
 	"insomnia/internal/power"
 )
@@ -11,18 +10,7 @@ import (
 // pay the wake delay, in-flight flows stay where they are, lines go through
 // k-switches, and gateways left out of the solution drain and sleep through
 // their ordinary idle timeout rather than by fiat.
-type centralizedScheme struct{ baseScheme }
-
-func (centralizedScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
-	return kSwitchFabric.build(cfg)
-}
-
-// Same global solve as Optimal: demand accounting on, serial engine.
-func (centralizedScheme) usesDemand() bool { return true }
-
-func (centralizedScheme) seedEvents(s *sim) {
-	s.push(event{t: s.cfg.OptimalEvery, kind: evResolve})
-}
+type centralizedScheme struct{ coordinatedScheme }
 
 // route follows the controller's assignment; it may wake the assigned
 // gateway from the ISP side (touch does), but traffic queues for the full
@@ -70,15 +58,5 @@ func (sc centralizedScheme) onResolve(s *sim) {
 		if sol.Open[gwID] && g.ctl.State() == power.Sleeping {
 			s.touch(s.main, g, s.now)
 		}
-	}
-}
-
-// onFailure: the controller sees the line drop (loss of DSL signal) and
-// re-solves immediately instead of waiting out the period, shifting the
-// failed area's demand onto live gateways. Recoveries wait for the next
-// periodic solve.
-func (sc centralizedScheme) onFailure(s *sim, gw int, up bool) {
-	if !up {
-		scheduleFailureResolve(s)
 	}
 }

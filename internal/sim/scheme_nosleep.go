@@ -1,26 +1,9 @@
 package sim
 
-import (
-	"math"
-
-	"insomnia/internal/kswitch"
-	"insomnia/internal/power"
-)
-
 // noSleepScheme is the §5.1 baseline: every device is on from t=0 and the
-// infinite idle timeout means nothing ever sleeps. It anchors the savings
-// comparisons of Figs 6-8 and the headline numbers.
+// infinite idle timeout means nothing ever sleeps (its row is alwaysOn).
+// It anchors the savings comparisons of Figs 6-8 and the headline numbers.
 type noSleepScheme struct{ baseScheme }
-
-func (noSleepScheme) initialState() power.State { return power.On }
-
-func (noSleepScheme) timeouts(cfg Config) (float64, float64) {
-	return math.Inf(1), cfg.WakeDelay
-}
-
-func (noSleepScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
-	return fixedFabric.build(cfg)
-}
 
 // postInit marks every line active so cards and modems never sleep. Under
 // a quotient run that is every full-scenario line (via applyLineOp's
@@ -34,9 +17,3 @@ func (noSleepScheme) postInit(s *sim) {
 		s.fabrics[0].cardOn[cd] = true
 	}
 }
-
-func (noSleepScheme) sleepCards() bool { return false }
-
-// Routing is always the home gateway and nothing ever sleeps: every event
-// is shard-local.
-func (noSleepScheme) shardLocal() bool { return true }

@@ -1,35 +1,42 @@
 package sim
 
 import (
-	"math"
-
-	"insomnia/internal/kswitch"
 	"insomnia/internal/optimal"
 	"insomnia/internal/power"
 )
 
-// optimalScheme is the paper's upper bound (§5.1): an oracle re-solves
-// Eq (1) every minute over a full switch, opens exactly the chosen
-// gateways by fiat (zero wake delay) and migrates in-flight flows with no
-// disruption. Gateways left out of the solution are closed immediately.
-type optimalScheme struct{ baseScheme }
+// coordinatedScheme is the controller Optimal and Centralized share: it
+// re-solves the assignment every OptimalEvery seconds from every client's
+// demand (demandInstance), so both runs stay on the serial engine.
+type coordinatedScheme struct{ baseScheme }
 
-// timeouts: sleeps happen only by resolver fiat, migration is instant.
-func (optimalScheme) timeouts(cfg Config) (float64, float64) {
-	return math.Inf(1), 0
-}
-
-func (optimalScheme) newPolicy(cfg Config) (kswitch.Policy, error) {
-	return fullSwitchFabric.build(cfg)
-}
-
-// The per-minute solve reads every client's demand and routes across the
-// whole topology: the run stays on the serial engine.
-func (optimalScheme) usesDemand() bool { return true }
-
-func (optimalScheme) seedEvents(s *sim) {
+func (coordinatedScheme) seedEvents(s *sim) {
 	s.push(event{t: s.cfg.OptimalEvery, kind: evResolve})
 }
+
+// onFailure: the controller sees the line drop (loss of DSL signal) and
+// queues an immediate one-shot re-solve instead of waiting out the period,
+// shifting the failed area's demand onto live gateways. Recoveries wait
+// for the next periodic solve. Pushing an event (rather than resolving
+// inline) lets every failure of the same instant land first — an outage
+// fails its whole area before the controller reacts — and the one-instant
+// dedup keeps an area outage from triggering one solve per gateway.
+func (coordinatedScheme) onFailure(s *sim, gw int, up bool) {
+	if up || s.lastFailResolve == s.now {
+		return
+	}
+	s.lastFailResolve = s.now
+	s.push(event{t: s.now, kind: evResolve, aux: 1})
+}
+
+// optimalScheme is the paper's upper bound (§5.1): an oracle re-solves
+// Eq (1) every minute over a full switch, opens exactly the chosen
+// gateways by fiat (its row is fiatWake: zero wake delay, no idle sleep)
+// and migrates in-flight flows with no disruption. Gateways left out of
+// the solution are closed immediately. Its fiat wake (touch) is still
+// gated on failed gateways — even the upper bound cannot power a dead
+// line.
+type optimalScheme struct{ coordinatedScheme }
 
 // route prefers the current assignment, then any open in-range gateway,
 // else opens the home gateway by fiat.
@@ -159,15 +166,6 @@ func (sc optimalScheme) migrateFlows(s *sim, g *gateway) {
 		tg.flowsGen++
 		s.touch(s.main, tg, s.now)
 		s.scheduleCompletion(s.main, tg)
-	}
-}
-
-// onFailure: the oracle notices instantly and re-solves, opening substitute
-// gateways for the stranded area. Its fiat wake (touch) is still gated on
-// failed gateways — even the upper bound cannot power a dead line.
-func (sc optimalScheme) onFailure(s *sim, gw int, up bool) {
-	if !up {
-		scheduleFailureResolve(s)
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 //   - Real coupling: shared RNG streams (BH2 decisions, RandomWake) and
 //     the coordinated schemes' global re-solves. These cannot be
 //     partitioned without changing the serial event order, so only
-//     shard-local schemes (strategy.shardLocal) without RandomWake run
-//     here; every other run takes the serial engine at any shard count.
+//     shard-local schemes (the catalogue's shardLocal column) without
+//     RandomWake run here; every other run takes the serial engine at any
+//     shard count.
 //
 // Epoch barriers are the coordinator's own events: between two coordinator
 // events every remaining event is provably shard-local, so each lane runs
@@ -45,7 +46,7 @@ func (s *sim) buildLanes(allAwake bool) {
 	}
 	// RandomWake draws every wake delay from one shared stream in global
 	// event order; shard-local wakes would reorder the draws.
-	if n < 2 || !s.strat.shardLocal() || s.cfg.RandomWake {
+	if n < 2 || !catalogue[s.cfg.Scheme].shardLocal || s.cfg.RandomWake {
 		s.shards = []shard{{lo: 0, hi: nGW, bits: make([]uint64, (nGW+63)/64)}}
 		s.main = &s.shards[0]
 		if allAwake {

@@ -58,30 +58,12 @@ const (
 	Centralized
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer with the scheme's canonical name.
 func (s Scheme) String() string {
-	switch s {
-	case NoSleep:
-		return "no-sleep"
-	case SoI:
-		return "SoI"
-	case SoIKSwitch:
-		return "SoI+k-switch"
-	case SoIFullSwitch:
-		return "SoI+full-switch"
-	case BH2KSwitch:
-		return "BH2+k-switch"
-	case BH2FullSwitch:
-		return "BH2+full-switch"
-	case BH2NoBackup:
-		return "BH2-nobackup+k-switch"
-	case Optimal:
-		return "optimal"
-	case Centralized:
-		return "centralized+k-switch"
-	default:
+	if !s.known() {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return catalogue[s].name
 }
 
 // GatewaySide names the gateway and terminal behaviour a scheme runs: two
@@ -92,13 +74,10 @@ func (s Scheme) String() string {
 // BH2+full-switch}. BH2-nobackup stands alone (its decisions run with
 // Backup forced to 0), as do no-sleep, optimal and centralized.
 func GatewaySide(sc Scheme) Scheme {
-	switch sc {
-	case SoIKSwitch, SoIFullSwitch:
-		return SoI
-	case BH2FullSwitch:
-		return BH2KSwitch
+	if !sc.known() {
+		return sc
 	}
-	return sc
+	return catalogue[sc].side
 }
 
 // Config describes one simulation run.
@@ -150,11 +129,10 @@ type Config struct {
 	// full-scenario gateway g with Quotient.FullHome[g] == q. The DSLAM,
 	// PortOf and switch policy stay full-sized — each wake/sleep of q fans
 	// out over its mirrored lines — and Result is expanded back to the full
-	// scenario's shape with bit-exact accounting. Only the uncoupled
-	// schemes (NoSleep, SoI, SoIFullSwitch) accept a plan, as Scheme or as
-	// a sibling; everything else errors, because their cross-gateway
-	// coupling (shared RNG streams, k-switch remap order, global
-	// re-solves) breaks the class symmetry.
+	// scenario's shape with bit-exact accounting. Only Collapsible schemes
+	// accept a plan, as Scheme or as a sibling; everything else errors,
+	// because their cross-gateway coupling (shared RNG streams, k-switch
+	// remap order, global re-solves) breaks the class symmetry.
 	Quotient *QuotientPlan
 }
 
@@ -221,6 +199,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Topo.NumGateways < c.Trace.Cfg.APs {
 		return c, fmt.Errorf("sim: topology has %d gateways, trace needs %d", c.Topo.NumGateways, c.Trace.Cfg.APs)
 	}
+	if !c.Scheme.known() {
+		return c, fmt.Errorf("sim: unknown scheme %v", c.Scheme)
+	}
 	for _, sc := range c.Siblings {
 		if GatewaySide(sc) != GatewaySide(c.Scheme) {
 			return c, fmt.Errorf("sim: sibling %v does not share %v's gateway side", sc, c.Scheme)
@@ -241,9 +222,7 @@ func (c Config) withDefaults() (Config, error) {
 			return c, err
 		}
 		for _, sc := range append([]Scheme{c.Scheme}, c.Siblings...) {
-			switch sc {
-			case NoSleep, SoI, SoIFullSwitch:
-			default:
+			if !Collapsible(sc) {
 				return c, fmt.Errorf("sim: scheme %v cannot run collapsed (cross-gateway coupling)", sc)
 			}
 		}

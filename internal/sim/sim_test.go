@@ -53,7 +53,7 @@ func TestSchemeString(t *testing.T) {
 		NoSleep: "no-sleep", SoI: "SoI", SoIKSwitch: "SoI+k-switch",
 		SoIFullSwitch: "SoI+full-switch", BH2KSwitch: "BH2+k-switch",
 		BH2FullSwitch: "BH2+full-switch", BH2NoBackup: "BH2-nobackup+k-switch",
-		Optimal: "optimal",
+		Optimal: "optimal", Centralized: "centralized+k-switch",
 	}
 	for s, want := range names {
 		if s.String() != want {

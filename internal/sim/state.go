@@ -260,16 +260,13 @@ type fabricState struct {
 }
 
 func newSim(cfg Config) (*sim, error) {
-	strat, err := newStrategy(cfg.Scheme)
-	if err != nil {
-		return nil, err
-	}
+	row := &catalogue[cfg.Scheme]
 	nGW := cfg.Topo.NumGateways
 	nCl := cfg.Topo.NumClients()
 	end := cfg.Trace.Cfg.Duration
 
 	s := &sim{
-		cfg: cfg, strat: strat, end: end,
+		cfg: cfg, strat: row.strat, end: end,
 		gws:         make([]gateway, nGW),
 		clients:     make([]client, nCl),
 		clientBytes: make([]float64, nCl),
@@ -292,8 +289,8 @@ func newSim(cfg Config) (*sim, error) {
 			s.weight[q]++
 		}
 	}
-	s.needDemand = strat.usesDemand()
-	s.needLoad = strat.usesLoad()
+	s.needDemand = row.readsDemand
+	s.needLoad = row.readsLoad
 
 	bins := int(end / cfg.SampleEvery)
 	s.userTS = stats.NewTimeSeries(0, end, bins)
@@ -301,8 +298,14 @@ func newSim(cfg Config) (*sim, error) {
 
 	// §5.2: "the simulation starts with all the gateways sleeping" — unless
 	// the scheme (no-sleep) says otherwise.
-	initState := strat.initialState()
-	idle, wake := strat.timeouts(cfg)
+	initState := power.Sleeping
+	idle, wake := cfg.IdleTimeout, cfg.WakeDelay
+	switch {
+	case row.alwaysOn:
+		initState, idle = power.On, math.Inf(1)
+	case row.fiatWake:
+		idle, wake = math.Inf(1), 0
+	}
 
 	for g := 0; g < nGW; g++ {
 		dev := power.NewDevice(fmt.Sprintf("gw%d", g), power.GatewayWatts, initState, 0)
@@ -327,13 +330,10 @@ func newSim(cfg Config) (*sim, error) {
 
 	s.fabrics = make([]fabricState, 1+len(cfg.Siblings))
 	for i, sc := range append([]Scheme{cfg.Scheme}, cfg.Siblings...) {
-		fabStrat, err := newStrategy(sc)
-		if err != nil {
-			return nil, err
-		}
 		fs := &s.fabrics[i]
 		fs.scheme = sc
-		if fs.policy, err = fabStrat.newPolicy(cfg); err != nil {
+		var err error
+		if fs.policy, err = catalogue[sc].fabric.build(cfg); err != nil {
 			return nil, err
 		}
 		fs.cards = make([]*power.Device, cfg.DSLAM.Cards)
@@ -347,13 +347,13 @@ func newSim(cfg Config) (*sim, error) {
 		fs.cardTS = stats.NewTimeSeries(0, end, bins)
 	}
 	s.shelf = power.NewDevice("shelf", power.ShelfWatts, power.On, 0)
-	strat.postInit(s)
+	s.strat.postInit(s)
 
 	// Seed periodic events (always on the main lane: ticks, decisions and
 	// re-solves carry global order). Failure events due at t=0 are armed
 	// last; later ones chain off the tick handler (see armFailures).
 	s.push(event{t: 0, kind: evTick})
-	strat.seedEvents(s)
+	s.strat.seedEvents(s)
 	if !cfg.Failures.Empty() {
 		s.initFailures(bins)
 		s.armFailures(0)
