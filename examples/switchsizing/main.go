@@ -4,9 +4,9 @@
 // sleeping cards and a comparison against plain SoI's (1-p)^m.
 //
 // The second half validates the analytic ordering in the simulator: a
-// multi-seed k-sweep on an 8-card shelf fans out through the parallel
-// experiment runner (one job per (k, seed), one shared trace/topology per
-// seed) and reports online cards during the busy window.
+// campaign spec sweeps k on an 8-card shelf over three seeds of a
+// two-hour flash crowd, runs through Plan.Simulate, and reports online
+// cards over the run.
 //
 //	go run ./examples/switchsizing
 package main
@@ -17,12 +17,10 @@ import (
 	"log"
 
 	"insomnia/internal/analytic"
+	"insomnia/internal/campaign"
 	"insomnia/internal/dsl"
-	"insomnia/internal/runner"
 	"insomnia/internal/sim"
 	"insomnia/internal/stats"
-	"insomnia/internal/topology"
-	"insomnia/internal/trace"
 )
 
 func main() {
@@ -54,67 +52,55 @@ func main() {
 	simulateKSweep()
 }
 
-// simulateKSweep cross-checks the Eq (2) ordering end-to-end: BH2 over an
-// 8-card DSLAM with k in {2,4,8}, three seeds each, all runs in parallel.
-func simulateKSweep() {
-	seeds := []int64{5, 6, 7}
-	ks := []int{2, 4, 8}
-	shelf := dsl.DSLAM{Cards: 8, PortsPerCard: 6}
+// kSweep is BH2 over a 48-line shelf of 8 small cards, k in {2,4,8}, on a
+// two-hour flash crowd that triples the online fraction from midnight.
+const kSweep = `
+name: switchsizing
+schemes: [BH2+k-switch]
+seeds: [5, 6, 7]
+duration: 7200
+trace:
+  profile: flash-crowd
+  clients: 48
+  gateways: 8
+  flash_hour: 0
+  flash_hours: 2
+  flash_scale: 3
+topology:
+  kind: overlap
+  mean_in_range: 5
+dslam:
+  cards: 8
+  ports_per_card: 6
+sweeps:
+  - axis: k
+    values: [2, 4, 8]
+`
 
-	// One scenario per seed, shared read-only by that seed's three k jobs.
-	scenarios := make(map[int64]sim.Config, len(seeds))
-	for _, seed := range seeds {
-		tr, topo, err := scenario(seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		scenarios[seed] = sim.Config{Trace: tr, Topo: topo, Scheme: sim.BH2KSwitch, Seed: seed, DSLAM: shelf}
+// simulateKSweep cross-checks the Eq (2) ordering end-to-end. Cells come
+// back in enumeration order — one variant per k, its seeds within — so
+// each k's seeds fold into one mean.
+func simulateKSweep() {
+	sp, err := dsl.ParseSpec([]byte(kSweep))
+	if err != nil {
+		log.Fatal(err)
 	}
-	var jobs []runner.Job
-	for _, k := range ks {
-		for _, seed := range seeds {
-			cfg := scenarios[seed]
-			cfg.K = k
-			jobs = append(jobs, runner.Job{Name: fmt.Sprintf("k%d/seed%d", k, seed), Config: cfg})
-		}
+	plan, err := campaign.Compile(sp)
+	if err != nil {
+		log.Fatal(err)
 	}
-	outs := runner.Run(context.Background(), jobs)
-	if err := runner.FirstErr(outs); err != nil {
+	online := make([]stats.Welford, len(sp.Sweeps[0].Values))
+	err = plan.Simulate(context.Background(), campaign.Options{}, func(c campaign.Cell, res *sim.Result) error {
+		online[c.Index/len(sp.Seeds)].Add(sim.MeanOver(res.OnlineCards, 0, 2))
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Println("\nsimulated check (BH2, 8-card shelf, busy 2 h, 3 seeds):")
-	for ki, k := range ks {
-		var w stats.Welford
-		for si := range seeds {
-			res := outs[ki*len(seeds)+si].Result
-			w.Add(sim.MeanOver(res.OnlineCards, 0, 2))
-		}
-		fmt.Printf("  k=%d: %.2f ±%.2f of 8 cards online\n", k, w.Mean(), w.Std())
+	fmt.Printf("\nsimulated check (BH2, 8-card shelf, 2 h flash crowd, %d seeds):\n", len(sp.Seeds))
+	for i, k := range sp.Sweeps[0].Values {
+		fmt.Printf("  k=%g: %.2f ±%.2f of 8 cards online\n", k, online[i].Mean(), online[i].Std())
 	}
 	fmt.Println("bigger switches concentrate active lines on fewer cards, as Eq (2) predicts.")
-}
-
-// scenario builds a busy two-hour 48-client workload; each seed draws its
-// own trace and topology, shared read-only by that seed's jobs.
-func scenario(seed int64) (*trace.Trace, *topology.Topology, error) {
-	var busy trace.Profile
-	for i := range busy {
-		busy[i] = 0.55
-	}
-	tr, err := trace.Generate(trace.Config{
-		Clients: 48, APs: 8, Profile: busy, Seed: seed, Duration: 2 * 3600,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	g, err := topology.OverlapGraph(8, 5.0, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	topo, err := topology.FromOverlap(g, tr.ClientAP)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tr, topo, nil
 }

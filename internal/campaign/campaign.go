@@ -355,9 +355,12 @@ func failurePlan(v dsl.Spec, seed int64) sim.FailurePlan {
 			width = nGW
 		}
 		from := r.Intn(nGW - width + 1)
+		gws := make([]int, width)
+		for i := range gws {
+			gws[i] = from + i
+		}
 		plan.Outages = append(plan.Outages, sim.OutageWindow{
-			Start: o.Start, DurationSec: o.Duration,
-			FromGW: from, ToGW: from + width,
+			Start: o.Start, DurationSec: o.Duration, Gateways: gws,
 		})
 	}
 	return plan

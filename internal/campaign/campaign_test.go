@@ -344,9 +344,9 @@ func TestFailurePlanExpansion(t *testing.T) {
 	if len(a.Outages) != 1 {
 		t.Fatalf("got %d outages", len(a.Outages))
 	}
-	o := a.Outages[0]
-	if o.FromGW < 0 || o.ToGW > 8 || o.ToGW-o.FromGW != 4 {
-		t.Errorf("frac 0.5 of 8 gateways must cover a 4-wide in-range block, got [%d,%d)", o.FromGW, o.ToGW)
+	gws := a.Outages[0].Gateways
+	if len(gws) != 4 || gws[0] < 0 || gws[3] != gws[0]+3 || gws[3] >= 8 {
+		t.Errorf("frac 0.5 of 8 gateways must cover a 4-wide in-range block, got %v", gws)
 	}
 	if a.RebootMeanSec != 120 || a.RebootSigma != 0.5 {
 		t.Errorf("reboot distribution not forwarded: %+v", a)

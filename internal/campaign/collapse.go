@@ -70,7 +70,7 @@ func buildGeometry(sp dsl.Spec, seed int64, g *topology.Graph) *collapseGeometry
 			forced[c.Gateway] = true
 		}
 		for _, o := range fullPlan.Outages {
-			for gw := o.FromGW; gw < o.ToGW; gw++ {
+			for _, gw := range o.Gateways {
 				forced[gw] = true
 			}
 		}
@@ -91,10 +91,9 @@ func buildGeometry(sp dsl.Spec, seed int64, g *topology.Graph) *collapseGeometry
 }
 
 // remapFailures rewrites a full-scenario failure plan onto quotient
-// gateway ids. Outage ranges become explicit gateway lists in the full
-// scenario's ascending id order, so the engine's reboot-draw sequence
-// (stream 0xfa11, consumed in plan order) is reproduced exactly even
-// though quotient ids are not contiguous.
+// gateway ids. Outage lists keep the full scenario's order, so the
+// engine's reboot-draw sequence (stream 0xfa11, consumed in plan order)
+// is reproduced exactly even though quotient ids are not contiguous.
 func remapFailures(p sim.FailurePlan, q *quotient.Quotient) sim.FailurePlan {
 	out := sim.FailurePlan{RebootMeanSec: p.RebootMeanSec, RebootSigma: p.RebootSigma}
 	for _, c := range p.Crashes {
@@ -102,13 +101,12 @@ func remapFailures(p sim.FailurePlan, q *quotient.Quotient) sim.FailurePlan {
 		out.Crashes = append(out.Crashes, c)
 	}
 	for _, o := range p.Outages {
-		gws := make([]int, 0, o.ToGW-o.FromGW)
-		for gw := o.FromGW; gw < o.ToGW; gw++ {
-			gws = append(gws, int(q.FullHome[gw]))
+		gws := make([]int, len(o.Gateways))
+		for i, gw := range o.Gateways {
+			gws[i] = int(q.FullHome[gw])
 		}
-		out.Outages = append(out.Outages, sim.OutageWindow{
-			Start: o.Start, DurationSec: o.DurationSec, Gateways: gws,
-		})
+		o.Gateways = gws
+		out.Outages = append(out.Outages, o)
 	}
 	return out
 }

@@ -59,19 +59,12 @@ func poissonConfig(t *testing.T, scheme sim.Scheme, seed int64) sim.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Config{
+	return sim.Config{
 		Trace: tr, Topo: tp,
 		DSLAM: dsl.EvalDSLAM, K: 4,
 		Scheme: scheme, Seed: seed,
 		IdleTimeout: dsl.IdleTimeoutSeconds,
-		WakeDelay:   dsl.WakeSeconds,
-		SampleEvery: 1,
 	}
-	cfg.PortOf, err = dsl.RandomAssignment(cfg.DSLAM, poissonGWs, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg
 }
 
 func relErr(got, want float64) float64 { return math.Abs(got-want) / math.Abs(want) }
@@ -93,7 +86,7 @@ func TestAnalyticSoIPoisson(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, cfg.WakeDelay)
+	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, dsl.WakeSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +109,7 @@ func TestAnalyticSoIPoisson(t *testing.T) {
 	}
 
 	// Wakeups: one per renewal cycle, λ·P(sleep) per second per gateway.
-	rate, err := analytic.SoIPoissonWakeupRate(poissonLambda, cfg.IdleTimeout, cfg.WakeDelay)
+	rate, err := analytic.SoIPoissonWakeupRate(poissonLambda, cfg.IdleTimeout, dsl.WakeSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +160,7 @@ func TestAnalyticKSwitchBracket(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, cfg.WakeDelay)
+	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, dsl.WakeSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +198,7 @@ func TestAnalyticFullSwitchCards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, cfg.WakeDelay)
+	pSleep, err := analytic.SoIPoissonSleepProbability(poissonLambda, cfg.IdleTimeout, dsl.WakeSeconds)
 	if err != nil {
 		t.Fatal(err)
 	}

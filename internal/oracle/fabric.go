@@ -185,7 +185,12 @@ func (f *refFabric) repack() {
 // t=0 regardless of fabric state, so reconciliation is skipped and the
 // initial state stands for the whole horizon.
 func replayCards(cfg *sim.Config, kind fabricKind, sleepCards bool, initial power.State, ops []lineOp) ([]*refDevice, error) {
-	fab, err := newRefFabric(cfg.DSLAM, kind, cfg.K, cfg.PortOf)
+	// The engine wires the shelf's lines the same way, under the run's seed.
+	ports, err := dsl.RandomAssignment(cfg.DSLAM, cfg.Topo.NumGateways, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
+	fab, err := newRefFabric(cfg.DSLAM, kind, cfg.K, ports)
 	if err != nil {
 		return nil, err
 	}

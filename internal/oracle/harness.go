@@ -20,8 +20,8 @@ var DefaultShards = []int{1, 2, 3}
 
 // BuildConfig materializes a spec into the explicit sim.Config the
 // harness uses for both the engine and the reference: every default the
-// engine would fill (shelf shape, port wiring, timeouts, sample period)
-// is pinned here so the two sides cannot diverge on defaults.
+// engine would fill (shelf shape, k, idle timeout) is pinned here so the
+// two sides cannot diverge on defaults.
 func BuildConfig(sp dsl.Spec, seed int64, sc sim.Scheme) (sim.Config, error) {
 	tr, tp, err := campaign.BuildScenario(sp, seed)
 	if err != nil {
@@ -32,17 +32,10 @@ func BuildConfig(sp dsl.Spec, seed int64, sc sim.Scheme) (sim.Config, error) {
 		DSLAM: dsl.EvalDSLAM, K: 4,
 		Scheme: sc, Seed: seed,
 		IdleTimeout: dsl.IdleTimeoutSeconds,
-		WakeDelay:   dsl.WakeSeconds,
-		SampleEvery: 1,
 	}
 	if tp.NumGateways > cfg.DSLAM.Ports() {
 		return sim.Config{}, fmt.Errorf("oracle: spec has %d gateways, shelf has %d ports", tp.NumGateways, cfg.DSLAM.Ports())
 	}
-	ports, err := dsl.RandomAssignment(cfg.DSLAM, tp.NumGateways, seed)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	cfg.PortOf = ports
 	return cfg, nil
 }
 

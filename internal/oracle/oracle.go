@@ -105,24 +105,11 @@ func normalize(cfg sim.Config) (sim.Config, schemeParams, error) {
 	if cfg.DSLAM.Ports() < nGW {
 		return cfg, p, fmt.Errorf("oracle: %d gateways exceed %d DSLAM ports", nGW, cfg.DSLAM.Ports())
 	}
-	if cfg.PortOf == nil {
-		ports, err := dsl.RandomAssignment(cfg.DSLAM, nGW, cfg.Seed)
-		if err != nil {
-			return cfg, p, err
-		}
-		cfg.PortOf = ports
-	}
 	if cfg.K == 0 {
 		cfg.K = 4
 	}
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = dsl.IdleTimeoutSeconds
-	}
-	if cfg.WakeDelay == 0 {
-		cfg.WakeDelay = dsl.WakeSeconds
-	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 1
 	}
 	var ok bool
 	if p, ok = paramsFor(&cfg); !ok {
@@ -172,7 +159,7 @@ func reference(cfg sim.Config, mut mutation) (*Expected, error) {
 		rg := &refGateway{
 			id:      g,
 			cfg:     &cfg,
-			ctl:     newRefCtl(dev, idle, cfg.WakeDelay),
+			ctl:     newRefCtl(dev, idle, dsl.WakeSeconds),
 			dev:     dev,
 			modem:   newRefDevice(power.ISPModemWatts, p.initial),
 			fs:      fs,

@@ -20,6 +20,11 @@ import (
 // gateways' side and replays afterwards in fabric.go from the merged
 // line-op streams.
 
+// tickSeconds is the engine's metric tick, restated: the global grid 0, 1,
+// 2, ... seconds on which the engine advances and elapses every awake
+// gateway.
+const tickSeconds = 1.0
+
 // lineOp is one gateway wake/sleep side effect on the shelf, in the order
 // the engine would apply it (lineWake/lineSleep).
 type lineOp struct {
@@ -50,7 +55,7 @@ type refGateway struct {
 	flows      []int     // in-service trace flow ids, engine list order
 	lastElapse float64
 	complAt    float64 // next completion check (+Inf when unarmed)
-	tickT      float64 // next tick on the global grid 0, +SampleEvery, ...
+	tickT      float64 // next tick on the global grid 0, +tickSeconds, ...
 	inSet      bool    // mirror of the engine's awake-set membership
 	ops        []lineOp
 }
@@ -114,7 +119,7 @@ func (g *refGateway) run(flowIdx, keepIdx []int) {
 				g.ctl.advance(now)
 				g.elapse(now)
 			}
-			g.tickT = now + g.cfg.SampleEvery
+			g.tickT = now + tickSeconds
 		case srcCompl:
 			g.complete(now)
 		case srcFlow:

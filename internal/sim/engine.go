@@ -26,6 +26,10 @@ import (
 // second) a canceled run still stops within microseconds.
 const cancelCheckEvery = 4096
 
+// tickSeconds is the metric tick: the sampling period of every Result
+// series and of the BH² load estimators.
+const tickSeconds = 1.0
+
 // run drives the merged event streams to the end of the trace, stopping
 // early (s.aborted) when the run's context is canceled.
 func (s *sim) run() {
@@ -147,14 +151,14 @@ func (s *sim) handle(sh *shard, e event) {
 		s.strat.onDecide(s, e.a)
 	case evTick:
 		s.tick()
-		if t := s.now + s.cfg.SampleEvery; t <= s.end {
+		if t := s.now + tickSeconds; t <= s.end {
 			s.push(event{t: t, kind: evTick})
 		}
 		if s.hasFailures {
 			// Arm the failure events due before the next tick. Chaining the
 			// pushes off the tick handler keeps the coordinator-event
 			// ordering invariant the sharded fence rule relies on.
-			s.armFailures(s.now + s.cfg.SampleEvery)
+			s.armFailures(s.now + tickSeconds)
 		}
 	case evResolve:
 		s.strat.onResolve(s)
@@ -194,7 +198,6 @@ func (s *sim) awaken(sh *shard, g *gateway) {
 		return
 	}
 	sh.bits[w] |= b
-	sh.awakeN++
 	if s.needLoad && s.tickCount > g.estResetTick {
 		g.est.Observe(s.lastTickT, g.sn.Value())
 	}
@@ -209,7 +212,6 @@ func (s *sim) quiesce(sh *shard, g *gateway) {
 		return
 	}
 	sh.bits[w] &^= b
-	sh.awakeN--
 	g.estResetTick = s.tickCount
 }
 
@@ -260,23 +262,7 @@ func (s *sim) gwCheck(sh *shard, g *gateway) {
 	case power.Waking:
 		g.ctl.Advance(now)
 		g.modem.SetState(due, power.On)
-		g.lastElapse = now
-		for _, fi := range g.flows {
-			if f := &s.flows[fi]; f.stallFrom >= 0 {
-				f.stalled += now - f.stallFrom
-				f.stallFrom = -1
-			}
-		}
-		s.scheduleCompletion(sh, g)
-		// Hand back exactly the clients that were waiting for this, their
-		// home gateway — O(|waiting|), not a scan over every client.
-		for _, c := range g.pending {
-			cl := &s.clients[c]
-			cl.pendingHome = false
-			cl.pendingPos = -1
-			cl.assigned = g.id
-		}
-		g.pending = g.pending[:0]
+		s.resumeService(sh, g, now)
 	case power.On:
 		// Sleep deadline. A gateway with flows in flight is not idle: the
 		// flow's packets are continuous traffic. Extend the idle clock
@@ -297,6 +283,29 @@ func (s *sim) gwCheck(sh *shard, g *gateway) {
 		}
 	}
 	s.armGwCheck(sh, g)
+}
+
+// resumeService starts service on gateway g at now, once it serves again
+// after a wake or a reboot: transport integrates from now, each flow's wake
+// stall closes, the next completion is armed and the clients waiting for
+// this, their home gateway, are handed back — O(|waiting|), not a scan over
+// every client.
+func (s *sim) resumeService(sh *shard, g *gateway, now float64) {
+	g.lastElapse = now
+	for _, fi := range g.flows {
+		if f := &s.flows[fi]; f.stallFrom >= 0 {
+			f.stalled += now - f.stallFrom
+			f.stallFrom = -1
+		}
+	}
+	s.scheduleCompletion(sh, g)
+	for _, c := range g.pending {
+		cl := &s.clients[c]
+		cl.pendingHome = false
+		cl.pendingPos = -1
+		cl.assigned = g.id
+	}
+	g.pending = g.pending[:0]
 }
 
 // updateCards reconciles fabric fs's line-card power states with its
@@ -566,37 +575,26 @@ func (s *sim) tick() {
 		s.tickPrep(&s.shards[0], s.now)
 	}
 	var userW, ispW float64
-	online := 0
-	awake := 0
-	fullAwake := 0 // multiplicity-weighted awake count (quotient runs)
+	online, awake := 0, 0 // full-scenario gateway counts
 	for si := range s.shards {
 		sh := &s.shards[si]
-		awake += sh.awakeN
 		for w, word := range sh.bits {
 			base := sh.lo + w<<6
 			for word != 0 {
 				gwID := base + bits.TrailingZeros64(word)
 				g := &s.gws[gwID]
 				word &= word - 1
-				if s.weight == nil {
-					if g.ctl.State() != power.Sleeping {
-						online++
-					}
-					userW += g.ctl.Device().DrawW()
-					ispW += g.modem.DrawW()
-				} else {
-					// Quotient run: gateway gwID stands for weight[gwID]
-					// identically-behaving full gateways. The draw terms
-					// are integer watt constants, so the weighted product
-					// equals the full run's repeated additions exactly.
-					mult := s.weight[gwID]
-					if g.ctl.State() != power.Sleeping {
-						online += int(mult)
-					}
-					userW += mult * g.ctl.Device().DrawW()
-					ispW += mult * g.modem.DrawW()
-					fullAwake += int(mult)
+				// Gateway gwID stands for n identically-behaving full
+				// gateways (n is 1 in a full run). The draw terms are
+				// integer watt constants, so the weighted product equals
+				// the full run's repeated additions exactly.
+				n := s.weight(gwID)
+				if g.ctl.State() != power.Sleeping {
+					online += n
 				}
+				userW += float64(n) * g.ctl.Device().DrawW()
+				ispW += float64(n) * g.modem.DrawW()
+				awake += n
 			}
 		}
 	}
@@ -606,10 +604,7 @@ func (s *sim) tick() {
 	// (SleepWatts == 0), which is what keeps this term bit-identical to
 	// the dense loop's interleaved additions; if SleepWatts ever becomes
 	// nonzero this stays correct but float summation order changes.
-	nSleep := float64(len(s.gws) - awake)
-	if s.weight != nil {
-		nSleep = float64(s.cfg.Quotient.FullGateways - fullAwake)
-	}
+	nSleep := float64(s.plan.FullGateways - awake)
 	userW += nSleep * power.SleepWatts
 	ispW += nSleep * power.SleepWatts
 	s.userTS.Add(s.now, userW)
@@ -658,18 +653,20 @@ func (s *sim) tickPrep(sh *shard, now float64) {
 	}
 }
 
-// result folds the run into the cell's Result and one per sibling. The
+// result folds the run into the cell's Result and one per sibling,
+// expanded through the quotient plan to the full scenario's shape. The
 // gateway-side terms are summed once; each fabric then continues the ISP
 // energy from the shared modem sum with its own cards and the shelf, in
 // the order a run of that scheme alone adds them.
 func (s *sim) result() *Result {
+	qp := s.plan
 	res := &Result{
 		Duration:      s.end,
 		UserPowerW:    s.userTS,
 		OnlineGWs:     s.gwTS,
 		FCT:           make([]float64, len(s.flows)),
 		FlowStall:     make([]float64, len(s.flows)),
-		GatewayOnTime: make([]float64, len(s.gws)),
+		GatewayOnTime: make([]float64, qp.FullGateways),
 		Moves:         s.moves, Resolves: s.resolves, OptGap: s.optGap,
 		DecisionReasons: s.reasons,
 	}
@@ -683,30 +680,18 @@ func (s *sim) result() *Result {
 			res.FlowStall[i] = nan
 		}
 	}
+	// Fold the energy sums in ascending full gateway id order: the addend
+	// sequence is then identical to the full run's (class members behave
+	// identically), so the float sums are bit-exact, not just algebraically
+	// equal. Device reads at a fixed time are idempotent, so re-reading the
+	// representative once per mirrored line is safe.
 	var modemJ float64
-	if qp := s.cfg.Quotient; qp != nil {
-		// Expand to the full scenario's shape, folding the energy sums in
-		// ascending full gateway id order: the addend sequence is then
-		// identical to the full run's (class members behave identically),
-		// so the float sums are bit-exact, not just algebraically equal.
-		// Device reads at a fixed time are idempotent, so re-reading the
-		// representative once per mirrored line is safe.
-		res.GatewayOnTime = make([]float64, qp.FullGateways)
-		for line, q := range qp.FullHome {
-			g := &s.gws[q]
-			res.GatewayOnTime[line] = g.ctl.Device().OnTimeAt(s.end)
-			res.Energy.UserJ += g.ctl.Device().EnergyAt(s.end)
-			modemJ += g.modem.EnergyAt(s.end)
-			res.Wakeups += g.ctl.Device().Wakeups()
-		}
-	} else {
-		for gwID := range s.gws {
-			g := &s.gws[gwID]
-			res.GatewayOnTime[gwID] = g.ctl.Device().OnTimeAt(s.end)
-			res.Energy.UserJ += g.ctl.Device().EnergyAt(s.end)
-			modemJ += g.modem.EnergyAt(s.end)
-			res.Wakeups += g.ctl.Device().Wakeups()
-		}
+	for line, q := range qp.FullHome {
+		g := &s.gws[q]
+		res.GatewayOnTime[line] = g.ctl.Device().OnTimeAt(s.end)
+		res.Energy.UserJ += g.ctl.Device().EnergyAt(s.end)
+		modemJ += g.modem.EnergyAt(s.end)
+		res.Wakeups += g.ctl.Device().Wakeups()
 	}
 	res.Availability = 1
 	if s.hasFailures {
@@ -723,32 +708,20 @@ func (s *sim) result() *Result {
 				s.downTime[gwID] += s.end - g.downSince
 			}
 		}
+		// Fold through the full scenario's client id order. Collapse
+		// eligibility forces failure-affected gateways into singleton
+		// classes, so every nonzero accumulator maps 1:1 onto a full client
+		// and the addend sequence matches the full run's.
 		var strandedSec, recSec float64
 		recN := 0
-		nClients := float64(len(s.clients))
-		if qp := s.cfg.Quotient; qp != nil {
-			// Fold through the full scenario's client id order. Collapse
-			// eligibility forces failure-affected gateways into singleton
-			// classes, so every nonzero accumulator maps 1:1 onto a full
-			// client and the addend sequence matches the full run's.
-			for _, qc := range qp.FullClientOf {
-				strandedSec += s.strandedSec[qc]
-				recSec += s.reconnSec[qc]
-				recN += int(s.reconnN[qc])
-			}
-			nClients = float64(qp.FullClients)
-			dt := make([]float64, qp.FullGateways)
-			for line, q := range qp.FullHome {
-				dt[line] = s.downTime[q]
-			}
-			res.GatewayDownTime = dt
-		} else {
-			for c := range s.strandedSec {
-				strandedSec += s.strandedSec[c]
-				recSec += s.reconnSec[c]
-				recN += int(s.reconnN[c])
-			}
-			res.GatewayDownTime = s.downTime
+		for _, qc := range qp.FullClientOf {
+			strandedSec += s.strandedSec[qc]
+			recSec += s.reconnSec[qc]
+			recN += int(s.reconnN[qc])
+		}
+		res.GatewayDownTime = make([]float64, qp.FullGateways)
+		for line, q := range qp.FullHome {
+			res.GatewayDownTime[line] = s.downTime[q]
 		}
 		res.Failures = s.failures
 		res.FlowsAborted = s.flowsAborted
@@ -757,7 +730,7 @@ func (s *sim) result() *Result {
 		if recN > 0 {
 			res.MeanRecoveryS = recSec / float64(recN)
 		}
-		if n := nClients * s.end; n > 0 {
+		if n := float64(qp.FullClients) * s.end; n > 0 {
 			res.Availability = 1 - strandedSec/n
 		}
 		res.StrandedClients = s.strandedTS

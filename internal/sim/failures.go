@@ -39,35 +39,19 @@ type GatewayCrash struct {
 	RebootSec float64
 }
 
-// OutageWindow cuts power to the contiguous gateway range [FromGW, ToGW)
-// over [Start, Start+DurationSec). When power returns each gateway still
-// pays its own drawn reboot time before it is operative — the staggered
-// boot-up after a neighborhood outage.
+// OutageWindow cuts power to Gateways over [Start, Start+DurationSec).
+// When power returns each gateway still pays its own drawn reboot time
+// before it is operative — the staggered boot-up after a neighborhood
+// outage.
 type OutageWindow struct {
 	Start       float64
 	DurationSec float64
-	FromGW      int
-	ToGW        int
-
-	// Gateways, when non-empty, replaces the contiguous [FromGW, ToGW)
-	// range with an explicit gateway list; the range fields are ignored.
-	// The reboot draws consume the 0xfa11 stream in list order, so callers
-	// remapping gateway ids (the campaign symmetry-collapse pass, whose
-	// quotient ids are not contiguous) keep the list in the original
-	// scenario's ascending id order to reproduce its draw sequence.
+	// Gateways lists the affected gateways, at least one. The reboot
+	// draws consume the 0xfa11 stream in list order, so callers remapping
+	// gateway ids (the campaign symmetry-collapse pass, whose quotient ids
+	// are not contiguous) keep the list in the original scenario's order
+	// to reproduce its draw sequence.
 	Gateways []int
-}
-
-// gateways returns the affected gateway ids in draw order.
-func (o OutageWindow) gateways() []int {
-	if len(o.Gateways) > 0 {
-		return o.Gateways
-	}
-	gws := make([]int, 0, o.ToGW-o.FromGW)
-	for gw := o.FromGW; gw < o.ToGW; gw++ {
-		gws = append(gws, gw)
-	}
-	return gws
 }
 
 // FailurePlan is the failure schedule for one run. The zero value injects
@@ -123,14 +107,13 @@ func (p FailurePlan) normalized(nGW int) (FailurePlan, error) {
 		if o.DurationSec <= 0 || math.IsNaN(o.DurationSec) || math.IsInf(o.DurationSec, 0) {
 			return p, fmt.Errorf("sim: outage %d has invalid duration %v", i, o.DurationSec)
 		}
-		if len(o.Gateways) > 0 {
-			for _, gw := range o.Gateways {
-				if gw < 0 || gw >= nGW {
-					return p, fmt.Errorf("sim: outage %d targets gateway %d of %d", i, gw, nGW)
-				}
+		if len(o.Gateways) == 0 {
+			return p, fmt.Errorf("sim: outage %d covers no gateways", i)
+		}
+		for _, gw := range o.Gateways {
+			if gw < 0 || gw >= nGW {
+				return p, fmt.Errorf("sim: outage %d targets gateway %d of %d", i, gw, nGW)
 			}
-		} else if o.FromGW < 0 || o.ToGW > nGW || o.FromGW >= o.ToGW {
-			return p, fmt.Errorf("sim: outage %d covers invalid gateway range [%d,%d) of %d", i, o.FromGW, o.ToGW, nGW)
 		}
 	}
 	return p, nil
@@ -166,7 +149,7 @@ func buildFailSchedule(p FailurePlan, seed int64) []failEvent {
 			failEvent{t: c.At + reboot, gw: int32(c.Gateway), up: true})
 	}
 	for _, o := range p.Outages {
-		for _, gw := range o.gateways() {
+		for _, gw := range o.Gateways {
 			sched = append(sched,
 				failEvent{t: o.Start, gw: int32(gw)},
 				failEvent{t: o.Start + o.DurationSec + draw(), gw: int32(gw), up: true})
@@ -295,25 +278,9 @@ func (s *sim) recoverGateway(g *gateway, now float64) {
 	s.awaken(lane, g)
 	g.modem.SetState(now, power.On)
 	s.lineWake(s.main, g.id, now)
-	g.lastElapse = now
 	// Flows that arrived during the downtime (user retries) queued stalled;
 	// service starts now, exactly as after an ordinary wake completion.
-	for _, fi := range g.flows {
-		if f := &s.flows[fi]; f.stallFrom >= 0 {
-			f.stalled += now - f.stallFrom
-			f.stallFrom = -1
-		}
-	}
-	s.scheduleCompletion(lane, g)
-	// Hand back clients that were waiting for this, their home, gateway —
-	// same semantics as an ordinary wake completion (gwCheck).
-	for _, c := range g.pending {
-		cl := &s.clients[c]
-		cl.pendingHome = false
-		cl.pendingPos = -1
-		cl.assigned = g.id
-	}
-	g.pending = g.pending[:0]
+	s.resumeService(lane, g, now)
 	// Reconnect storm: every client stranded on this gateway regains
 	// service at once. Drain from the tail so each removal is O(1); the
 	// per-client accounting makes the order immaterial.

@@ -18,7 +18,7 @@ func testFailurePlan() FailurePlan {
 			{At: 1800, Gateway: 2},
 			{At: 4000, Gateway: 5, RebootSec: 120},
 		},
-		Outages: []OutageWindow{{Start: 3600, DurationSec: 900, FromGW: 4, ToGW: 8}},
+		Outages: []OutageWindow{{Start: 3600, DurationSec: 900, Gateways: []int{4, 5, 6, 7}}},
 	}
 }
 
@@ -29,9 +29,9 @@ func TestFailurePlanValidation(t *testing.T) {
 		{Crashes: []GatewayCrash{{At: 10, Gateway: 99}}},
 		{Crashes: []GatewayCrash{{At: 10, Gateway: 0, RebootSec: -5}}},
 		{Crashes: []GatewayCrash{{At: math.NaN(), Gateway: 0}}},
-		{Outages: []OutageWindow{{Start: 10, DurationSec: 0, FromGW: 0, ToGW: 2}}},
-		{Outages: []OutageWindow{{Start: 10, DurationSec: 60, FromGW: 3, ToGW: 3}}},
-		{Outages: []OutageWindow{{Start: 10, DurationSec: 60, FromGW: 0, ToGW: 99}}},
+		{Outages: []OutageWindow{{Start: 10, DurationSec: 0, Gateways: []int{0, 1}}}},
+		{Outages: []OutageWindow{{Start: 10, DurationSec: 60}}},
+		{Outages: []OutageWindow{{Start: 10, DurationSec: 60, Gateways: []int{0, 99}}}},
 		{Crashes: []GatewayCrash{{At: 10, Gateway: 0}}, RebootMeanSec: -1},
 		{Crashes: []GatewayCrash{{At: 10, Gateway: 0}}, RebootSigma: -1},
 	}
@@ -49,7 +49,7 @@ func TestFailurePlanValidation(t *testing.T) {
 func TestFailureScheduleOrder(t *testing.T) {
 	p, err := FailurePlan{
 		Crashes: []GatewayCrash{{At: 100, Gateway: 1, RebootSec: 50}, {At: 100, Gateway: 0, RebootSec: 100}},
-		Outages: []OutageWindow{{Start: 50, DurationSec: 100, FromGW: 2, ToGW: 4}},
+		Outages: []OutageWindow{{Start: 50, DurationSec: 100, Gateways: []int{2, 3}}},
 	}.normalized(4)
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestFailureOverlapDepth(t *testing.T) {
 			// Crash at 100 rebooting at 400; outage 200..300 whose drawn
 			// reboot ends well before 400: the crash recovery governs.
 			Crashes: []GatewayCrash{{At: 100, Gateway: 0, RebootSec: 300}},
-			Outages: []OutageWindow{{Start: 200, DurationSec: 100, FromGW: 0, ToGW: 1}},
+			Outages: []OutageWindow{{Start: 200, DurationSec: 100, Gateways: []int{0}}},
 			// Constant 1 s reboot keeps the outage recovery inside the
 			// crash window deterministically.
 			RebootMeanSec: 1, RebootSigma: 1e-9,

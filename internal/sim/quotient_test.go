@@ -170,8 +170,8 @@ func TestQuotientSharded(t *testing.T) {
 }
 
 // TestQuotientFailures: failure-affected gateways collapse as forced
-// singletons; crash and outage metrics expand bit-exactly, with the outage
-// expressed as an explicit gateway list (quotient ids are not contiguous)
+// singletons; crash and outage metrics expand bit-exactly, with the
+// outage's gateway list remapped to quotient ids (no longer contiguous)
 // in full-id order so the reboot draws line up.
 func TestQuotientFailures(t *testing.T) {
 	const nGW, clients = 36, 144
@@ -184,7 +184,7 @@ func TestQuotientFailures(t *testing.T) {
 
 	fullPlan := FailurePlan{
 		Crashes: []GatewayCrash{{At: 5000, Gateway: 7}},
-		Outages: []OutageWindow{{Start: 8000, DurationSec: 1500, FromGW: 2, ToGW: 5}},
+		Outages: []OutageWindow{{Start: 8000, DurationSec: 1500, Gateways: []int{2, 3, 4}}},
 	}
 	outList := make([]int, 0, 3)
 	for gw := 2; gw < 5; gw++ {

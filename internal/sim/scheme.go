@@ -120,13 +120,13 @@ const (
 	fullSwitchFabric               // idealized any-to-any switch
 )
 
-func (f fabric) build(cfg Config) (kswitch.Policy, error) {
+func (f fabric) build(cfg Config, portOf []int) (kswitch.Policy, error) {
 	switch f {
 	case kSwitchFabric:
-		return kswitch.NewKSwitch(cfg.DSLAM, cfg.K, cfg.PortOf)
+		return kswitch.NewKSwitch(cfg.DSLAM, cfg.K, portOf)
 	case fullSwitchFabric:
-		return kswitch.NewFullSwitch(cfg.DSLAM, cfg.PortOf)
+		return kswitch.NewFullSwitch(cfg.DSLAM, portOf)
 	default:
-		return kswitch.NewFixed(cfg.DSLAM, cfg.PortOf)
+		return kswitch.NewFixed(cfg.DSLAM, portOf)
 	}
 }

@@ -104,7 +104,6 @@ func seedBits(sh *shard) {
 	for g := sh.lo; g < sh.hi; g++ {
 		sh.bits[(g-sh.lo)>>6] |= 1 << (uint(g-sh.lo) & 63)
 	}
-	sh.awakeN = sh.hi - sh.lo
 }
 
 // runSharded drives a sharded run: epochs of parallel shard progress
@@ -202,22 +201,19 @@ func (s *sim) lineSleep(sh *shard, gw int, t float64) {
 }
 
 // applyLineOp applies one gateway's line wake/sleep to every switch
-// fabric of the run and reconciles each fabric's line cards. Under a
-// quotient run the op fans out over every full-scenario line the gateway
-// stands for — the mirrored lines transition at the same instant, and the
-// fabrics the collapse pass admits (fixed, full-switch) derive card states
-// from the active-line set alone, so one card reconciliation after the
-// batch reproduces the full run's card energy exactly (same-instant
-// transients integrate to zero).
+// fabric of the run and reconciles each fabric's line cards. The op fans
+// out over every full-scenario line the gateway stands for (its own line
+// alone in a full run) — the mirrored lines transition at the same
+// instant, and the fabrics the collapse pass admits (fixed, full-switch)
+// derive card states from the active-line set alone, so one card
+// reconciliation after the batch reproduces the full run's card energy
+// exactly (same-instant transients integrate to zero).
 func (s *sim) applyLineOp(gw int, wake bool, t float64) {
+	lines := s.mirrorOf(gw)
 	for i := range s.fabrics {
 		fs := &s.fabrics[i]
-		if s.mirror == nil {
-			fs.lineOp(gw, wake)
-		} else {
-			for _, line := range s.mirror[gw] {
-				fs.lineOp(int(line), wake)
-			}
+		for _, line := range lines {
+			fs.lineOp(int(line), wake)
 		}
 		s.updateCards(fs, t)
 	}

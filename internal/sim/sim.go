@@ -85,9 +85,10 @@ type Config struct {
 	Trace *trace.Trace       // generated workload (downlink flows drive QoS)
 	Topo  *topology.Topology // client-gateway reachability
 
-	DSLAM  dsl.DSLAM // ISP shelf shape (default: 4x12, §5.1)
-	PortOf []int     // line -> port wiring (default: random via seed)
-	K      int       // k-switch size for *KSwitch schemes (default 4)
+	// DSLAM is the ISP shelf shape (default: 4x12, §5.1). Its lines are
+	// wired to ports by dsl.RandomAssignment under Seed.
+	DSLAM dsl.DSLAM
+	K     int // k-switch size for *KSwitch schemes (default 4)
 
 	Scheme Scheme
 	// Siblings lists further schemes with Scheme's gateway side
@@ -99,15 +100,15 @@ type Config struct {
 	BH2      bh2.Params // zero value takes bh2.DefaultParams
 
 	IdleTimeout float64 // default dsl.IdleTimeoutSeconds
-	WakeDelay   float64 // default dsl.WakeSeconds
 	// RandomWake draws each wake-up duration from the measured
 	// distribution (mean 60 s, resyncs up to 3 min — §5.1) instead of the
-	// constant WakeDelay. Used by the wake-time sensitivity ablation.
+	// constant dsl.WakeSeconds. Used by the wake-time sensitivity ablation.
 	RandomWake   bool
 	OptimalEvery float64 // Optimal resolve period (default 60 s)
 
-	Seed        int64
-	SampleEvery float64 // metric sampling period (default 1 s)
+	// Seed drives the port wiring, the reboot draws and every scheme RNG
+	// stream.
+	Seed int64
 
 	// Failures is the deterministic failure-injection plan: gateway crashes
 	// with rebooting restarts and area power-outage windows (failures.go).
@@ -127,18 +128,21 @@ type Config struct {
 	// Quotient marks this run as the collapsed form of a larger symmetric
 	// scenario (internal/quotient): gateway q of this run stands for every
 	// full-scenario gateway g with Quotient.FullHome[g] == q. The DSLAM,
-	// PortOf and switch policy stay full-sized — each wake/sleep of q fans
-	// out over its mirrored lines — and Result is expanded back to the full
-	// scenario's shape with bit-exact accounting. Only Collapsible schemes
-	// accept a plan, as Scheme or as a sibling; everything else errors,
-	// because their cross-gateway coupling (shared RNG streams, k-switch
-	// remap order, global re-solves) breaks the class symmetry.
+	// its port wiring and switch policy stay full-sized — each wake/sleep
+	// of q fans out over its mirrored lines — and Result is expanded back
+	// to the full scenario's shape with bit-exact accounting. Only
+	// Collapsible schemes accept a plan, as Scheme or as a sibling;
+	// everything else errors, because their cross-gateway coupling (shared
+	// RNG streams, k-switch remap order, global re-solves) breaks the class
+	// symmetry. nil runs the scenario as its own singleton quotient.
 	Quotient *QuotientPlan
 }
 
 // QuotientPlan describes how a collapsed run maps back onto the full
 // symmetric scenario it stands for. The campaign collapse pass builds one
-// from internal/quotient; the engine only consumes it.
+// from internal/quotient. A run without one takes the singleton plan —
+// every gateway and client stands for itself with weight 1 — so full and
+// collapsed runs share the engine's one weighted, mirrored result path.
 type QuotientPlan struct {
 	// FullGateways and FullClients size the full scenario. The DSLAM must
 	// have at least FullGateways ports: the shelf carries every full line.
@@ -234,13 +238,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DSLAM.Ports() < nLines {
 		return c, fmt.Errorf("sim: %d gateways exceed %d DSLAM ports", nLines, c.DSLAM.Ports())
 	}
-	if c.PortOf == nil {
-		p, err := dsl.RandomAssignment(c.DSLAM, nLines, c.Seed)
-		if err != nil {
-			return c, err
-		}
-		c.PortOf = p
-	}
 	if c.K == 0 {
 		c.K = 4
 	}
@@ -256,14 +253,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = dsl.IdleTimeoutSeconds
 	}
-	if c.WakeDelay == 0 {
-		c.WakeDelay = dsl.WakeSeconds
-	}
 	if c.OptimalEvery == 0 {
 		c.OptimalEvery = 60
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 1
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("sim: negative shard count %d", c.Shards)
@@ -280,8 +271,9 @@ type Result struct {
 	Scheme   Scheme
 	Duration float64
 
-	// Per-time-bin series (one bin per SampleEvery seconds, averaged into
-	// hourly bins by the figure code).
+	// Per-time-bin series (one bin per simulated second, the engine's
+	// metric tick, averaged into hourly bins by the figure code). A
+	// collapsed run's series are already weighted to the full scenario.
 	PowerW      *stats.TimeSeries // total instantaneous draw
 	UserPowerW  *stats.TimeSeries // gateways only
 	ISPPowerW   *stats.TimeSeries // shelf + cards + port modems

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"insomnia/internal/bh2"
+	"insomnia/internal/dsl"
 	"insomnia/internal/kswitch"
 	"insomnia/internal/power"
 	"insomnia/internal/soi"
@@ -130,9 +131,8 @@ type shard struct {
 	// Active-gateway set over [lo, hi): bit g-lo set while gateway g is
 	// outside Sleeping (as far as the event machinery knows). tick()
 	// iterates only set members, making sampling O(awake); sleeping
-	// devices integrate in closed form. awakeN counts set bits.
-	bits   []uint64
-	awakeN int
+	// devices integrate in closed form.
+	bits []uint64
 
 	deferSinks bool
 	sinks      []sinkOp
@@ -185,13 +185,16 @@ type sim struct {
 	pool    *shardPool // shard workers; nil when single-lane
 	sinkIdx []int      // drainSinks merge cursors (reused across epochs)
 
-	// Quotient expansion (Config.Quotient non-nil, nil otherwise).
-	// mirror[q] lists the full-scenario line ids gateway q stands for,
-	// ascending; weight[q] is their multiplicity. Line wake/sleep ops fan
-	// out over the mirror (applyLineOp), and tick/result weight their
-	// per-gateway terms by the multiplicity.
-	mirror [][]int32
-	weight []float64
+	// Quotient expansion. plan is Config.Quotient, or the singleton plan
+	// when that is nil, so full and collapsed runs take one path. The
+	// full-scenario lines gateway q stands for are, ascending,
+	// mirrorLines[mirrorStart[q]:mirrorStart[q+1]] (mirrorOf); their count
+	// is q's weight. Line wake/sleep ops fan out over the mirror
+	// (applyLineOp), tick weights its per-gateway terms by the count
+	// (weight), and result folds through the plan in full id order.
+	plan        *QuotientPlan
+	mirrorStart []int32
+	mirrorLines []int32
 
 	// needDemand gates the per-client demand accounting (clientBytes):
 	// only the coordinated schemes ever read it (demandInstance), so the
@@ -281,25 +284,22 @@ func newSim(cfg Config) (*sim, error) {
 	for c := range s.lastTraffic {
 		s.lastTraffic[c] = math.Inf(-1)
 	}
-	if qp := cfg.Quotient; qp != nil {
-		s.mirror = make([][]int32, nGW)
-		s.weight = make([]float64, nGW)
-		for line, q := range qp.FullHome {
-			s.mirror[q] = append(s.mirror[q], int32(line))
-			s.weight[q]++
-		}
+	s.plan = cfg.Quotient
+	if s.plan == nil {
+		s.plan = singletonPlan(nGW, nCl)
 	}
+	s.buildMirror()
 	s.needDemand = row.readsDemand
 	s.needLoad = row.readsLoad
 
-	bins := int(end / cfg.SampleEvery)
+	bins := int(end / tickSeconds)
 	s.userTS = stats.NewTimeSeries(0, end, bins)
 	s.gwTS = stats.NewTimeSeries(0, end, bins)
 
 	// §5.2: "the simulation starts with all the gateways sleeping" — unless
 	// the scheme (no-sleep) says otherwise.
 	initState := power.Sleeping
-	idle, wake := cfg.IdleTimeout, cfg.WakeDelay
+	idle, wake := cfg.IdleTimeout, dsl.WakeSeconds
 	switch {
 	case row.alwaysOn:
 		initState, idle = power.On, math.Inf(1)
@@ -328,12 +328,16 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	s.buildLanes(initState != power.Sleeping)
 
+	// The shelf carries every full-scenario line, wired once per run.
+	portOf, err := dsl.RandomAssignment(cfg.DSLAM, s.plan.FullGateways, cfg.Seed)
+	if err != nil {
+		return nil, err
+	}
 	s.fabrics = make([]fabricState, 1+len(cfg.Siblings))
 	for i, sc := range append([]Scheme{cfg.Scheme}, cfg.Siblings...) {
 		fs := &s.fabrics[i]
 		fs.scheme = sc
-		var err error
-		if fs.policy, err = catalogue[sc].fabric.build(cfg); err != nil {
+		if fs.policy, err = catalogue[sc].fabric.build(cfg, portOf); err != nil {
 			return nil, err
 		}
 		fs.cards = make([]*power.Device, cfg.DSLAM.Cards)
@@ -360,6 +364,52 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	return s, nil
 }
+
+// singletonPlan is the trivial quotient of a full scenario: every gateway
+// and every client stands for itself.
+func singletonPlan(nGW, nCl int) *QuotientPlan {
+	qp := &QuotientPlan{
+		FullGateways: nGW, FullClients: nCl,
+		FullHome: make([]int32, nGW), FullClientOf: make([]int32, nCl),
+	}
+	for g := range qp.FullHome {
+		qp.FullHome[g] = int32(g)
+	}
+	for c := range qp.FullClientOf {
+		qp.FullClientOf[c] = int32(c)
+	}
+	return qp
+}
+
+// buildMirror buckets the plan's full lines by the gateway standing for
+// them: a stable counting sort, so each bucket stays in ascending line id.
+func (s *sim) buildMirror() {
+	nGW := len(s.gws)
+	s.mirrorStart = make([]int32, nGW+1)
+	for _, q := range s.plan.FullHome {
+		s.mirrorStart[q+1]++
+	}
+	for q := 0; q < nGW; q++ {
+		s.mirrorStart[q+1] += s.mirrorStart[q]
+	}
+	next := append([]int32(nil), s.mirrorStart[:nGW]...)
+	s.mirrorLines = make([]int32, len(s.plan.FullHome))
+	for line, q := range s.plan.FullHome {
+		s.mirrorLines[next[q]] = int32(line)
+		next[q]++
+	}
+}
+
+// mirrorOf returns the full-scenario lines gateway q stands for, in
+// ascending id order.
+func (s *sim) mirrorOf(q int) []int32 {
+	return s.mirrorLines[s.mirrorStart[q]:s.mirrorStart[q+1]]
+}
+
+// weight is the number of full-scenario gateways q stands for, the length
+// of mirrorOf(q): 1 in a full run. tick reads it for every awake gateway
+// each second, where two loads cost less than slicing the mirror.
+func (s *sim) weight(q int) int { return int(s.mirrorStart[q+1] - s.mirrorStart[q]) }
 
 // push queues an event on the main lane.
 func (s *sim) push(e event) { s.main.push(e) }

@@ -61,35 +61,23 @@ type Status struct {
 	Collapsed []campaign.CollapseNote `json:"collapsed,omitempty"`
 }
 
-// jobState is the server's view of one job: the live campaign.Job (nil
-// for jobs restored already-finished), its replayable event log, and the
-// mutable status snapshot.
+// jobState is the server's view of one job: its directory, the live
+// campaign.Job (nil for jobs restored already-finished), its replayable
+// event log, and the mutable status.
 type jobState struct {
-	id    string
-	dir   string
-	name  string
-	cells int
-	log   *eventLog
-	job   *campaign.Job
+	dir string
+	log *eventLog
+	job *campaign.Job
 
 	mu           sync.Mutex
-	state        string
-	errMsg       string
-	done         int
-	failed       []string
-	artifacts    []string
-	collapsed    []campaign.CollapseNote
+	cur          Status
 	userCanceled bool
 }
 
 func (st *jobState) status() Status {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return Status{
-		ID: st.id, Name: st.name, State: st.state, Cells: st.cells,
-		Done: st.done, Failed: st.failed, Error: st.errMsg,
-		Artifacts: st.artifacts, Collapsed: st.collapsed,
-	}
+	return st.cur
 }
 
 // Server is the campaign server. Create with New, serve Handler, Close to
@@ -175,12 +163,8 @@ func (s *Server) restore() error {
 		if err := json.Unmarshal(buf, &persisted); err != nil {
 			continue
 		}
-		st := &jobState{
-			id: id, dir: dir, name: persisted.Name, cells: persisted.Cells,
-			log: newEventLog(), state: persisted.State, errMsg: persisted.Error,
-			done: persisted.Done, failed: persisted.Failed,
-			artifacts: persisted.Artifacts, collapsed: persisted.Collapsed,
-		}
+		st := &jobState{dir: dir, log: newEventLog(), cur: persisted}
+		st.cur.ID = id
 		if persisted.State != "running" {
 			st.log.close()
 			s.jobs[id] = st
@@ -188,7 +172,7 @@ func (s *Server) restore() error {
 		}
 		spec, err := readSpec(filepath.Join(dir, "spec.yaml"))
 		if err != nil {
-			st.state, st.errMsg = "failed", fmt.Sprintf("resume: %v", err)
+			st.cur.State, st.cur.Error = "failed", fmt.Sprintf("resume: %v", err)
 			st.log.close()
 			s.jobs[id] = st
 			continue
@@ -197,13 +181,13 @@ func (s *Server) restore() error {
 			OutDir: dir, Resume: true, Budget: s.budget,
 		})
 		if err != nil {
-			st.state, st.errMsg = "failed", fmt.Sprintf("resume: %v", err)
+			st.cur.State, st.cur.Error = "failed", fmt.Sprintf("resume: %v", err)
 			st.log.close()
 			s.jobs[id] = st
 			continue
 		}
 		st.job = job
-		st.cells = len(job.Plan().Cells)
+		st.cur.Cells = len(job.Plan().Cells)
 		s.jobs[id] = st
 		s.wg.Add(1)
 		go s.pump(st)
@@ -226,7 +210,7 @@ func (s *Server) pump(st *jobState) {
 	defer s.wg.Done()
 	for ev := range st.job.Rows() {
 		st.mu.Lock()
-		st.done = ev.Done
+		st.cur.Done = ev.Done
 		st.mu.Unlock()
 		st.log.append(ev)
 	}
@@ -234,33 +218,26 @@ func (s *Server) pump(st *jobState) {
 	st.mu.Lock()
 	switch {
 	case err == nil:
-		st.state = "done"
+		st.cur.State = "done"
 	case errors.Is(err, campaign.ErrCanceled):
-		st.state, st.errMsg = "canceled", err.Error()
+		st.cur.State, st.cur.Error = "canceled", err.Error()
 	default: // cells failed (artifacts still written) or infrastructure
-		st.state, st.errMsg = "failed", err.Error()
+		st.cur.State, st.cur.Error = "failed", err.Error()
 	}
 	if res != nil {
-		st.failed = res.Failed
-		st.collapsed = res.Collapsed
+		st.cur.Failed = res.Failed
+		st.cur.Collapsed = res.Collapsed
 		for _, a := range res.Artifacts {
-			st.artifacts = append(st.artifacts, filepath.Base(a))
+			st.cur.Artifacts = append(st.cur.Artifacts, filepath.Base(a))
 		}
 	}
-	persist := st.state
-	if st.state == "canceled" && !st.userCanceled {
-		persist = "running" // server shutdown: resumable, not abandoned
-	}
-	status := Status{
-		ID: st.id, Name: st.name, State: persist, Cells: st.cells,
-		Done: st.done, Failed: st.failed, Error: st.errMsg,
-		Artifacts: st.artifacts, Collapsed: st.collapsed,
-	}
-	if persist == "running" {
-		status.Error = "" // transient shutdown, not a fault of the job
+	persist := st.cur
+	if persist.State == "canceled" && !st.userCanceled {
+		// Server shutdown: resumable, not abandoned, and no fault of the job.
+		persist.State, persist.Error = "running", ""
 	}
 	st.mu.Unlock()
-	writeStatus(st.dir, status)
+	writeStatus(st.dir, persist)
 	st.log.close()
 }
 
@@ -352,8 +329,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := &jobState{
-		id: id, dir: dir, name: job.Plan().Spec.Name, cells: len(job.Plan().Cells),
-		log: newEventLog(), job: job, state: "running",
+		dir: dir, log: newEventLog(), job: job,
+		cur: Status{ID: id, Name: job.Plan().Spec.Name, State: "running", Cells: len(job.Plan().Cells)},
 	}
 	// restore skips a job directory without a status file, so a job whose
 	// status never reached disk must not run: it would vanish on restart.
@@ -381,11 +358,11 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		states = append(states, st)
 	}
 	s.mu.Unlock()
-	sort.Slice(states, func(i, j int) bool { return states[i].id < states[j].id })
 	out := make([]Status, len(states))
 	for i, st := range states {
 		out[i] = st.status()
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -410,7 +387,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	st.mu.Lock()
 	st.userCanceled = true
-	running := st.state == "running" && st.job != nil
+	running := st.cur.State == "running" && st.job != nil
 	st.mu.Unlock()
 	if running {
 		st.job.Cancel()
@@ -483,12 +460,12 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	}
 	status := st.status()
 	if status.State == "running" {
-		writeError(w, http.StatusConflict, "campaign %s still running", st.id)
+		writeError(w, http.StatusConflict, "campaign %s still running", status.ID)
 		return
 	}
 	buf, err := os.ReadFile(filepath.Join(st.dir, name))
 	if err != nil {
-		writeError(w, http.StatusNotFound, "campaign %s has no %s", st.id, name)
+		writeError(w, http.StatusNotFound, "campaign %s has no %s", status.ID, name)
 		return
 	}
 	w.Header().Set("Content-Type", ctype)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
-// insomnia reproduction: streaming moments, histograms, empirical CDFs,
-// quantiles and time-binned series. Everything is deterministic and
-// allocation-conscious; no third-party dependencies.
+// insomnia reproduction: streaming moments, variable-width histograms,
+// empirical CDFs, quantiles and time-binned series. Everything is
+// deterministic and allocation-conscious; no third-party dependencies.
 package stats
 
 import (
@@ -57,62 +57,6 @@ func (w *Welford) Merge(o Welford) {
 	mean := w.mean + d*float64(o.n)/float64(n)
 	m2 := w.m2 + o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
 	w.n, w.mean, w.m2 = n, mean, m2
-}
-
-// Histogram is a fixed-width bin histogram over [Min, Max). Values outside
-// the range are clamped into the first/last bin so totals are preserved,
-// which matches how the paper's Fig 4 folds everything above 60 s into the
-// ">60" bin.
-type Histogram struct {
-	Min, Max float64
-	Counts   []float64 // weight per bin
-	total    float64
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [min,max).
-func NewHistogram(min, max float64, bins int) *Histogram {
-	if bins <= 0 || max <= min {
-		panic(fmt.Sprintf("stats: invalid histogram [%v,%v) bins=%d", min, max, bins))
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]float64, bins)}
-}
-
-// AddWeighted adds weight w at value x.
-func (h *Histogram) AddWeighted(x, w float64) {
-	i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i] += w
-	h.total += w
-}
-
-// Add adds a unit-weight observation.
-func (h *Histogram) Add(x float64) { h.AddWeighted(x, 1) }
-
-// Total returns the total accumulated weight.
-func (h *Histogram) Total() float64 { return h.total }
-
-// Fractions returns per-bin weight divided by total weight. A zero histogram
-// returns all zeros.
-func (h *Histogram) Fractions() []float64 {
-	f := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return f
-	}
-	for i, c := range h.Counts {
-		f[i] = c / h.total
-	}
-	return f
-}
-
-// BinLabel formats the i-th bin as "lo-hi" using the given printf verb.
-func (h *Histogram) BinLabel(i int) string {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return fmt.Sprintf("%g-%g", h.Min+float64(i)*w, h.Min+float64(i+1)*w)
 }
 
 // ECDF is an empirical cumulative distribution function over a sample.

@@ -61,45 +61,6 @@ func TestWelfordMergeMatchesSequential(t *testing.T) {
 	check(1, 1)
 }
 
-func TestHistogramClampsAndTotals(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(-5)   // clamps into bin 0
-	h.Add(0.5)  // bin 0
-	h.Add(9.99) // bin 9
-	h.Add(42)   // clamps into bin 9
-	if h.Total() != 4 {
-		t.Fatalf("Total = %v, want 4", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[9] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	f := h.Fractions()
-	if math.Abs(f[0]-0.5) > 1e-12 || math.Abs(f[9]-0.5) > 1e-12 {
-		t.Errorf("fractions = %v", f)
-	}
-}
-
-func TestHistogramWeighted(t *testing.T) {
-	h := NewHistogram(0, 60, 60)
-	h.AddWeighted(30.5, 2.5)
-	h.AddWeighted(30.9, 1.5)
-	if h.Counts[30] != 4 {
-		t.Errorf("bin 30 = %v, want 4", h.Counts[30])
-	}
-	if h.BinLabel(30) != "30-31" {
-		t.Errorf("label = %q", h.BinLabel(30))
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for zero bins")
-		}
-	}()
-	NewHistogram(0, 1, 0)
-}
-
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 3, 4, 5})
 	cases := []struct{ x, want float64 }{

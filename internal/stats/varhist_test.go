@@ -159,16 +159,6 @@ func TestVarHistogramProperty(t *testing.T) {
 	}
 }
 
-func TestHistogramBinLabel(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	if got := h.BinLabel(0); got != "0-2" {
-		t.Errorf("label = %q", got)
-	}
-	if got := h.BinLabel(4); got != "8-10" {
-		t.Errorf("label = %q", got)
-	}
-}
-
 func TestECDFValuesShared(t *testing.T) {
 	e := NewECDF([]float64{2, 1})
 	v := e.Values()
