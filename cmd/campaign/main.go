@@ -125,11 +125,6 @@ func cmdRun(args []string) {
 	quiet := fs.Bool("q", false, "suppress per-cell progress")
 	specPath := parseCommand("run", fs, args)
 
-	switch *collapse {
-	case "", "auto", "off":
-	default:
-		log.Fatalf("unknown -collapse mode %q (known: auto, off)", *collapse)
-	}
 	plan := loadPlan(specPath)
 	// Ctrl-C or SIGTERM cancels the job cleanly: in-flight cells abort at
 	// their next epoch barrier and the manifest keeps everything completed,

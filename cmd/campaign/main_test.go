@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -37,6 +39,19 @@ func TestStrayArgument(t *testing.T) {
 	out, failed := runCampaign(t, "check", "../../examples/campaign/spec.yaml", "extra")
 	if !failed || !strings.Contains(out, "unexpected argument") {
 		t.Errorf("stray arg: failed=%v, output:\n%s", failed, out)
+	}
+}
+
+// TestUnknownCollapseMode: a misspelt -collapse exits 1 with the campaign
+// package's error, before simulating anything or creating -out.
+func TestUnknownCollapseMode(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "out")
+	out, _ := runCampaign(t, "run", "-collapse", "of", "-out", dir, "../../examples/campaign/spec.yaml")
+	if !strings.Contains(out, "exit status 1") || !strings.Contains(out, `unknown collapse mode "of"`) {
+		t.Errorf("-collapse of: output:\n%s", out)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("rejected run left %s behind (stat: %v)", dir, err)
 	}
 }
 

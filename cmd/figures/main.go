@@ -164,7 +164,8 @@ func main() {
 				}
 				s.Y = append(s.Y, float64(sum)/float64(n))
 			}
-			log.Printf("  %s: mean online %.2f of 9 (paper: SoI 5.28, BH2 3.54)", name, res.MeanOnline)
+			log.Printf("  %s: mean online %.2f of 9 (paper: SoI 5.28, BH2 3.54); %d gateway wakeups, %d BH2 moves, %d transport errors",
+				name, res.MeanOnline, res.Wakeups, res.Moves, res.TrafficErrors)
 			series = append(series, s)
 		}
 		writeSeries(*out, "fig12_testbed_online_aps.csv", "minute", series)

@@ -1,14 +1,15 @@
-// Command tracegen generates a synthetic access-network trace and either
-// stores it (binary or CSV) or prints its Fig 2/3/4 statistics. With
-// -adversarial it instead hill-climbs a worst-case keepalive trace
-// against a named scheme's wakeup count.
+// Command tracegen generates a synthetic access-network trace, prints its
+// Fig 2/3/4 statistics and optionally writes its flows as CSV (the format
+// trace.ReadFlowsCSV replays). With -adversarial it instead hill-climbs a
+// worst-case keepalive trace against a named scheme's wakeup count and
+// reports the wakeups it found.
 //
 // Usage:
 //
 //	tracegen -profile office|sim|residential [-seed 1] [-clients N] [-aps N]
-//	         [-o trace.bin] [-csv flows.csv] [-stats]
+//	         [-csv flows.csv] [-stats]
 //	tracegen -adversarial SoI [-clients N] [-aps N] [-duration 3600]
-//	         [-iters 100] [-seed 1] [-o trace.bin]
+//	         [-iters 100] [-seed 1]
 package main
 
 import (
@@ -30,7 +31,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "RNG seed")
 	clients := flag.Int("clients", 0, "override client count")
 	aps := flag.Int("aps", 0, "override AP count")
-	out := flag.String("o", "", "write binary trace to this path")
 	csvPath := flag.String("csv", "", "write flow CSV to this path")
 	showStats := flag.Bool("stats", true, "print trace statistics")
 	adversarial := flag.String("adversarial", "", "search a worst-case keepalive trace against this scheme (canonical name, e.g. SoI)")
@@ -44,7 +44,7 @@ func main() {
 	}
 
 	if *adversarial != "" {
-		runAdversarial(*adversarial, *clients, *aps, *seed, *duration, *iters, *out)
+		runAdversarial(*adversarial, *clients, *aps, *seed, *duration, *iters)
 		return
 	}
 
@@ -73,19 +73,6 @@ func main() {
 	tr, err := trace.Generate(cfg)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tr.WriteBinary(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", *out)
 	}
 	if *csvPath != "" {
 		f, err := os.Create(*csvPath)
@@ -120,9 +107,8 @@ func main() {
 }
 
 // runAdversarial hill-climbs keepalive schedules against the named
-// scheme's wakeup count and reports (and optionally stores) the worst
-// case found.
-func runAdversarial(scheme string, clients, aps int, seed int64, duration float64, iters int, out string) {
+// scheme's wakeup count and reports the worst case found.
+func runAdversarial(scheme string, clients, aps int, seed int64, duration float64, iters int) {
 	sc, err := sim.ParseScheme(scheme)
 	if err != nil {
 		log.Fatal(err)
@@ -164,17 +150,4 @@ func runAdversarial(scheme string, clients, aps int, seed int64, duration float6
 	fmt.Printf("wakeups: %.0f (random seed pattern) -> %.0f (worst case found, %+.1f%%)\n",
 		a.Initial, a.Score, (a.Score/a.Initial-1)*100)
 	fmt.Printf("keepalives in worst-case trace: %d\n", len(a.Trace.Keepalives))
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := a.Trace.WriteBinary(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("wrote %s", out)
-	}
 }

@@ -8,16 +8,16 @@ import (
 	"testing"
 )
 
-// TestRejectsStrayArguments: `tracegen sim -o t.bin` (instead of
-// `tracegen -profile sim -o t.bin`) stops flag parsing at `sim`; it must
+// TestRejectsStrayArguments: `tracegen sim -csv t.csv` (instead of
+// `tracegen -profile sim -csv t.csv`) stops flag parsing at `sim`; it must
 // exit 2 with a usage message, not print the default office statistics
 // and write no file.
 func TestRejectsStrayArguments(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "t.bin")
-	buf, err := exec.Command("go", "run", ".", "sim", "-o", out).CombinedOutput()
+	out := filepath.Join(t.TempDir(), "t.csv")
+	buf, err := exec.Command("go", "run", ".", "sim", "-csv", out).CombinedOutput()
 	s := string(buf)
 	if err == nil {
-		t.Fatalf("tracegen sim -o %s must exit non-zero; output:\n%s", out, s)
+		t.Fatalf("tracegen sim -csv %s must exit non-zero; output:\n%s", out, s)
 	}
 	// `go run` itself exits 1 but reports the child's status on stderr.
 	if !strings.Contains(s, "exit status 2") {

@@ -165,6 +165,16 @@ func BuildCollapsedScenario(sp dsl.Spec, seed int64) (*trace.Trace, *topology.To
 	return geom.tr, geom.tp, geom.plan, nil
 }
 
+// checkCollapse rejects a run-time collapse override other than "auto",
+// "off" or "" (defer to the spec), before a job does any work.
+func checkCollapse(override string) error {
+	switch override {
+	case "", "auto", "off":
+		return nil
+	}
+	return fmt.Errorf("campaign: unknown collapse mode %q (known: auto, off)", override)
+}
+
 // collapseMode resolves the effective collapse mode: a run-time override
 // ("auto"/"off") wins over the spec's collapse key; both default to auto.
 // The mode never feeds the spec hash or the artifacts — it only chooses

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"insomnia/internal/dsl"
+	"insomnia/internal/sim"
 )
 
 // The collapse pass's contract is that it is invisible in the artifacts:
@@ -181,5 +183,27 @@ func TestCollapseIneligibleSpecs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCollapseRejectsUnknownMode: a misspelt Options.Collapse fails both
+// entry points before any work, instead of silently running every cell
+// full as "off" does; Submit creates no output directory.
+func TestCollapseRejectsUnknownMode(t *testing.T) {
+	p := compileTestPlan(t)
+	out := filepath.Join(t.TempDir(), "out")
+	if _, err := p.Submit(context.Background(), Options{OutDir: out, Collapse: "of"}); err == nil {
+		t.Error(`Submit accepted Collapse "of"`)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("rejected Submit left %s behind (stat: %v)", out, err)
+	}
+	ran := false
+	err := p.Simulate(context.Background(), Options{Collapse: "of"}, func(Cell, *sim.Result) error {
+		ran = true
+		return nil
+	})
+	if err == nil || ran {
+		t.Errorf(`Simulate with Collapse "of": err %v, ran a cell: %v`, err, ran)
 	}
 }

@@ -105,6 +105,9 @@ func (p *Plan) Submit(ctx context.Context, opts Options) (*Job, error) {
 	if opts.OutDir == "" {
 		return nil, fmt.Errorf("campaign: Options.OutDir is required")
 	}
+	if err := checkCollapse(opts.Collapse); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(opts.OutDir, 0o755); err != nil {
 		return nil, err
 	}
@@ -166,6 +169,9 @@ func (p *Plan) Submit(ctx context.Context, opts Options) (*Job, error) {
 // symmetric placement collapses, and Options.Collapse "off" disables it;
 // the figures' specs use shuffled placement and never collapse.
 func (p *Plan) Simulate(ctx context.Context, opts Options, fn func(Cell, *sim.Result) error) error {
+	if err := checkCollapse(opts.Collapse); err != nil {
+		return err
+	}
 	rctx, stop := context.WithCancel(ctx)
 	defer stop()
 	b, err := p.prepare(rctx, p.Cells, opts)

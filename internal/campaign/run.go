@@ -49,7 +49,8 @@ type Options struct {
 	// symmetry-eligible cells on their quotient scenario, "off" forces
 	// full simulation everywhere, "" defers to the spec (whose own default
 	// is auto). Artifacts are byte-identical under both modes — collapse
-	// only changes how much work producing them takes.
+	// only changes how much work producing them takes. Submit and Simulate
+	// reject any other value.
 	Collapse string
 
 	// exec overrides how each cell's simulation runs (runner.Runner.Exec);

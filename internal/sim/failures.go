@@ -133,9 +133,6 @@ func buildFailSchedule(p FailurePlan, seed int64) []failEvent {
 	r := stats.NewRNG(seed, 0xfa11)
 	// Lognormal parameterized by its mean: mu = ln(mean) - sigma^2/2.
 	draw := func() float64 {
-		if p.RebootMeanSec == 0 {
-			return 0
-		}
 		return stats.Lognormal(r, math.Log(p.RebootMeanSec)-p.RebootSigma*p.RebootSigma/2, p.RebootSigma)
 	}
 	var sched []failEvent
@@ -285,7 +282,7 @@ func (s *sim) recoverGateway(g *gateway, now float64) {
 	// service at once. Drain from the tail so each removal is O(1); the
 	// per-client accounting makes the order immaterial.
 	for len(g.stranded) > 0 {
-		s.unstrand(int(g.stranded[len(g.stranded)-1]), now, true)
+		s.unstrand(int(g.stranded[len(g.stranded)-1]), now)
 	}
 	s.armGwCheck(lane, g)
 	s.strat.onFailure(s, g.id, true)
@@ -300,7 +297,7 @@ func (s *sim) noteService(c, gw int, t float64) {
 	if s.gws[gw].failDepth > 0 {
 		s.markStranded(c, gw, t)
 	} else if s.strandedOn[c] >= 0 {
-		s.unstrand(c, t, true)
+		s.unstrand(c, t)
 	}
 }
 
@@ -337,17 +334,16 @@ func (s *sim) removeStranded(c int) {
 	g.stranded = g.stranded[:last]
 }
 
-// unstrand closes client c's stranded interval at t. reconnected interludes
-// count toward the recovery-time metric; the end-of-run sweep passes false.
-func (s *sim) unstrand(c int, t float64, reconnected bool) {
+// unstrand closes client c's stranded interval at t, when it reconnects;
+// the interval counts toward the recovery-time metric. Intervals still open
+// at the horizon are closed by result, without a reconnect.
+func (s *sim) unstrand(c int, t float64) {
 	s.laneOf(int(s.strandedOn[c])).strandedN--
 	s.removeStranded(c)
 	s.strandedOn[c] = -1
 	s.strandedPos[c] = -1
 	dt := t - s.strandedFrom[c]
 	s.strandedSec[c] += dt
-	if reconnected {
-		s.reconnSec[c] += dt
-		s.reconnN[c]++
-	}
+	s.reconnSec[c] += dt
+	s.reconnN[c]++
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"insomnia/internal/topology"
@@ -83,6 +84,35 @@ func singleGWTopo(t *testing.T, tr *trace.Trace) *topology.Topology {
 		t.Fatal(err)
 	}
 	return tp
+}
+
+// TestSingletonPlanClientMap: a full run's trivial quotient carries the
+// identity client map only when failures will fold through it; a
+// failure-free run builds none.
+func TestSingletonPlanClientMap(t *testing.T) {
+	tr := &trace.Trace{
+		Cfg:      trace.Config{Clients: 3, APs: 1, Duration: 600, BackhaulBps: trace.DefaultBackhaulBps},
+		ClientAP: []int{0, 0, 0},
+	}
+	for _, tc := range []struct {
+		failures FailurePlan
+		want     []int32
+	}{
+		{FailurePlan{}, nil},
+		{FailurePlan{Crashes: []GatewayCrash{{At: 100, Gateway: 0, RebootSec: 50}}}, []int32{0, 1, 2}},
+	} {
+		cfg, err := Config{Trace: tr, Topo: singleGWTopo(t, tr), Scheme: SoI, Seed: 1, Failures: tc.failures}.withDefaults()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.plan.FullClientOf; !slices.Equal(got, tc.want) || (got == nil) != (tc.want == nil) {
+			t.Errorf("failures %+v: FullClientOf = %v, want %v", tc.failures, got, tc.want)
+		}
+	}
 }
 
 // TestStrandedClientRegression pins the stranded/recovery accounting on a

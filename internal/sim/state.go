@@ -286,7 +286,7 @@ func newSim(cfg Config) (*sim, error) {
 	}
 	s.plan = cfg.Quotient
 	if s.plan == nil {
-		s.plan = singletonPlan(nGW, nCl)
+		s.plan = singletonPlan(nGW, nCl, !cfg.Failures.Empty())
 	}
 	s.buildMirror()
 	s.needDemand = row.readsDemand
@@ -366,17 +366,18 @@ func newSim(cfg Config) (*sim, error) {
 }
 
 // singletonPlan is the trivial quotient of a full scenario: every gateway
-// and every client stands for itself.
-func singletonPlan(nGW, nCl int) *QuotientPlan {
-	qp := &QuotientPlan{
-		FullGateways: nGW, FullClients: nCl,
-		FullHome: make([]int32, nGW), FullClientOf: make([]int32, nCl),
-	}
+// and every client stands for itself. Only result's failure fold reads the
+// client map, so a run without failures gets none.
+func singletonPlan(nGW, nCl int, failures bool) *QuotientPlan {
+	qp := &QuotientPlan{FullGateways: nGW, FullClients: nCl, FullHome: make([]int32, nGW)}
 	for g := range qp.FullHome {
 		qp.FullHome[g] = int32(g)
 	}
-	for c := range qp.FullClientOf {
-		qp.FullClientOf[c] = int32(c)
+	if failures {
+		qp.FullClientOf = make([]int32, nCl)
+		for c := range qp.FullClientOf {
+			qp.FullClientOf[c] = int32(c)
+		}
 	}
 	return qp
 }

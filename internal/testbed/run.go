@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -10,46 +9,30 @@ import (
 	"insomnia/internal/trace"
 )
 
-// Config describes one live experiment (defaults follow §5.3).
+// Config describes one live experiment (defaults follow §5.3). The
+// gateways run the paper's §5.1 SoI timing, each terminal may associate
+// with at most maxAssoc of them, and BH² terminals use bh2.DefaultParams.
 type Config struct {
-	Gateways int     // 9 in the paper's Fig 12 run
-	MaxAssoc int     // association limit per terminal (3 in the paper)
-	Duration float64 // virtual seconds (1800 = the 30-minute window)
-
-	IdleTimeout float64 // virtual seconds (60)
-	WakeDelay   float64 // virtual seconds (60)
-
+	Gateways  int     // 9 in the paper's Fig 12 run
+	Duration  float64 // virtual seconds (1800 = the 30-minute window)
 	TimeScale float64 // wall seconds per virtual second (e.g. 0.002 in tests)
 	UseBH2    bool    // false = plain SoI
-	BH2       bh2.Params
 	Seed      int64
-
-	// Schedule[i][s] is the bytes terminal i must push during virtual
-	// second s. Nil = generate a peak-hour replay via GenerateSchedule.
-	Schedule [][]int64
 }
+
+// maxAssoc is the association limit per terminal: the paper's hardware
+// could associate with at most 3 gateways.
+const maxAssoc = 3
 
 func (c Config) withDefaults() Config {
 	if c.Gateways == 0 {
 		c.Gateways = 9
 	}
-	if c.MaxAssoc == 0 {
-		c.MaxAssoc = 3
-	}
 	if c.Duration == 0 {
 		c.Duration = 1800
 	}
-	if c.IdleTimeout == 0 {
-		c.IdleTimeout = 60
-	}
-	if c.WakeDelay == 0 {
-		c.WakeDelay = 60
-	}
 	if c.TimeScale == 0 {
 		c.TimeScale = 0.002
-	}
-	if c.BH2.PeriodSec == 0 {
-		c.BH2 = bh2.DefaultParams()
 	}
 	return c
 }
@@ -86,10 +69,6 @@ func GenerateSchedule(terminals int, duration float64, seed int64) ([][]int64, e
 	for i := range out {
 		out[i] = make([]int64, secs)
 	}
-	rate := cfg.BackhaulBps
-	if rate == 0 {
-		rate = trace.DefaultBackhaulBps
-	}
 	for _, f := range tr.Flows {
 		if f.Up {
 			continue
@@ -123,39 +102,32 @@ func GenerateSchedule(terminals int, duration float64, seed int64) ([][]int64, e
 // the terminals, replays the schedule and samples the online count.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Schedule == nil {
-		sched, err := GenerateSchedule(cfg.Gateways, cfg.Duration, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Schedule = sched
-	}
-	if len(cfg.Schedule) != cfg.Gateways {
-		return nil, fmt.Errorf("testbed: schedule for %d terminals, want %d", len(cfg.Schedule), cfg.Gateways)
+	schedule, err := GenerateSchedule(cfg.Gateways, cfg.Duration, cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 
 	start := time.Now()
 	clock := func() float64 { return time.Since(start).Seconds() / cfg.TimeScale }
 
-	srv := NewServer(cfg.Gateways, cfg.IdleTimeout, cfg.WakeDelay, clock)
+	srv := NewServer(cfg.Gateways, clock)
 	base, err := srv.Start()
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
 
-	// Ring neighbourhoods of MaxAssoc gateways (the paper's terminals could
-	// associate with at most 3).
+	// Ring neighbourhoods of maxAssoc gateways.
 	terms := make([]*Terminal, cfg.Gateways)
 	for i := range terms {
 		inRange := []int{i}
-		for d := 1; len(inRange) < cfg.MaxAssoc && d <= cfg.Gateways/2; d++ {
+		for d := 1; len(inRange) < maxAssoc && d <= cfg.Gateways/2; d++ {
 			inRange = append(inRange, (i+d)%cfg.Gateways)
-			if len(inRange) < cfg.MaxAssoc {
+			if len(inRange) < maxAssoc {
 				inRange = append(inRange, (i-d+cfg.Gateways)%cfg.Gateways)
 			}
 		}
-		terms[i] = NewTerminal(i, i, inRange, cfg.UseBH2, cfg.BH2, trace.DefaultBackhaulBps, base, cfg.Seed)
+		terms[i] = NewTerminal(i, i, inRange, cfg.UseBH2, bh2.DefaultParams(), trace.DefaultBackhaulBps, base, cfg.Seed)
 	}
 
 	res := &Result{}
@@ -167,18 +139,14 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func(t *Terminal) {
 			defer wg.Done()
-			sched := cfg.Schedule[t.ID]
+			sched := schedule[t.ID]
 			for s := 0; s < secs; s++ {
 				// Pace to virtual time.
 				target := start.Add(time.Duration(float64(s) * cfg.TimeScale * float64(time.Second)))
 				if d := time.Until(target); d > 0 {
 					time.Sleep(d)
 				}
-				var due int64
-				if s < len(sched) {
-					due = sched[s]
-				}
-				if err := t.Tick(clock(), due); err != nil {
+				if err := t.Tick(clock(), sched[s]); err != nil {
 					mu.Lock()
 					res.TrafficErrors++
 					mu.Unlock()

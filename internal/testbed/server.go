@@ -6,10 +6,12 @@
 //
 // The pieces:
 //
-//   - Server: an HTTP server tracking per-gateway SoI state (on / waking /
-//     sleeping), data-frame sequence counters for passive load estimation,
-//     and an idle timeout per gateway. Terminals POST traffic and wake
-//     requests and GET observations.
+//   - Server: an HTTP server that drives one soi.Controller per gateway
+//     over a power.Device, with the paper's §5.1 timing
+//     (dsl.IdleTimeoutSeconds, dsl.WakeSeconds): the same Sleep-on-Idle
+//     machine the simulator runs. Each gateway also keeps a data-frame
+//     sequence counter for passive load estimation. Terminals POST traffic
+//     and wake requests and GET observations.
 //   - Terminal: one goroutine per line owner, replaying a traffic schedule
 //     through its currently selected gateway, observing in-range gateways
 //     each second and running the same bh2.Decide the simulator uses.
@@ -18,7 +20,8 @@
 //     samples the number of online APs — the Fig 12 series.
 //
 // Virtual time runs at cfg.TimeScale wall-seconds per virtual second so a
-// 30-minute experiment replays in seconds during tests.
+// 30-minute experiment replays in seconds during tests. cmd/figures -fig 12
+// runs the paper's experiment and writes its series.
 package testbed
 
 import (
@@ -29,124 +32,76 @@ import (
 	"strconv"
 	"sync"
 
+	"insomnia/internal/dsl"
 	"insomnia/internal/power"
+	"insomnia/internal/soi"
 	"insomnia/internal/wifi"
-)
-
-// GatewayState mirrors power.State over the wire.
-type GatewayState string
-
-// Wire states.
-const (
-	StateOn       GatewayState = "on"
-	StateWaking   GatewayState = "waking"
-	StateSleeping GatewayState = "sleeping"
 )
 
 // Observation is what a terminal learns about one gateway per monitor
 // slice: its beacon presence and current data-frame sequence number.
+// State is the gateway's power.State spelled by its String method: "on",
+// "waking" or "sleeping".
 type Observation struct {
-	GW    int          `json:"gw"`
-	State GatewayState `json:"state"`
-	SN    uint16       `json:"sn"`
+	GW    int    `json:"gw"`
+	State string `json:"state"`
+	SN    uint16 `json:"sn"`
 }
 
-// gatewayRec is the server-side record of one emulated gateway.
-type gatewayRec struct {
-	state        GatewayState
-	lastActivity float64 // virtual seconds
-	wakeAt       float64
-	sn           wifi.SeqCounter
-	onTime       float64 // accumulated online (non-sleeping) virtual time
-	lastChange   float64
-	wakeups      int
+// gateway is the server-side record of one emulated gateway.
+type gateway struct {
+	ctl *soi.Controller
+	sn  wifi.SeqCounter
 }
 
 // Server emulates the sleep state of a set of gateways.
 type Server struct {
-	IdleTimeout float64 // virtual seconds
-	WakeDelay   float64
-
-	clock func() float64 // virtual time source
+	clock func() float64 // virtual time source, monotone
 
 	mu  sync.Mutex
-	gws []*gatewayRec
+	gws []*gateway
 
 	http *http.Server
 	ln   net.Listener
 }
 
-// NewServer creates a status server for n gateways, all initially on.
-func NewServer(n int, idleTimeout, wakeDelay float64, clock func() float64) *Server {
-	s := &Server{IdleTimeout: idleTimeout, WakeDelay: wakeDelay, clock: clock}
+// NewServer creates a status server for n gateways, all on at virtual
+// time 0.
+func NewServer(n int, clock func() float64) *Server {
+	s := &Server{clock: clock}
 	for i := 0; i < n; i++ {
-		s.gws = append(s.gws, &gatewayRec{state: StateOn})
+		dev := power.NewDevice(fmt.Sprintf("gw%d", i), power.GatewayWatts, power.On, 0)
+		s.gws = append(s.gws, &gateway{ctl: soi.New(dev, dsl.IdleTimeoutSeconds, dsl.WakeSeconds, 0)})
 	}
 	return s
 }
 
-// advanceLocked applies due transitions for gateway g at virtual time now.
-func (s *Server) advanceLocked(g *gatewayRec, now float64) {
-	for {
-		switch g.state {
-		case StateWaking:
-			if g.wakeAt <= now {
-				g.onTime += 0 // waking time already counted below
-				g.state = StateOn
-				if g.wakeAt > g.lastActivity {
-					g.lastActivity = g.wakeAt
-				}
-				continue
-			}
-		case StateOn:
-			if g.lastActivity+s.IdleTimeout <= now {
-				g.onTime += g.lastActivity + s.IdleTimeout - g.lastChange
-				g.lastChange = g.lastActivity + s.IdleTimeout
-				g.state = StateSleeping
-				continue
-			}
-		}
-		break
-	}
-	if g.state != StateSleeping {
-		g.onTime += now - g.lastChange
-	}
-	g.lastChange = now
-}
-
 // Traffic records bytes sent through gateway gw; returns false if the
 // gateway is sleeping (traffic lost — the terminal should not have sent it).
+// A waking gateway accepts traffic but carries no frames yet.
 func (s *Server) Traffic(gw int, bytes int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
-	g := s.gws[gw]
-	s.advanceLocked(g, now)
-	if g.state == StateSleeping {
+	now, g := s.clock(), s.gws[gw]
+	if g.ctl.Advance(now); g.ctl.State() == power.Sleeping {
 		return false
 	}
-	if now > g.lastActivity {
-		g.lastActivity = now
-	}
-	if g.state == StateOn {
+	g.ctl.Touch(now)
+	if g.ctl.Awake() {
 		g.sn.Advance(wifi.FramesFor(bytes))
 	}
 	return true
 }
 
 // Wake requests a wake-up of gateway gw (WoWLAN — only the owner may call
-// this; the server trusts callers as the paper's did).
+// this; the server trusts callers as the paper's did). A gateway that is
+// not sleeping ignores it.
 func (s *Server) Wake(gw int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
-	g := s.gws[gw]
-	s.advanceLocked(g, now)
-	if g.state == StateSleeping {
-		g.state = StateWaking
-		g.wakeAt = now + s.WakeDelay
-		g.lastActivity = now
-		g.wakeups++
+	now, g := s.clock(), s.gws[gw]
+	if g.ctl.Advance(now); g.ctl.State() == power.Sleeping {
+		g.ctl.Touch(now)
 	}
 }
 
@@ -155,10 +110,9 @@ func (s *Server) Wake(gw int) {
 func (s *Server) Observe(gw int) Observation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := s.clock()
 	g := s.gws[gw]
-	s.advanceLocked(g, now)
-	return Observation{GW: gw, State: g.state, SN: g.sn.Value()}
+	g.ctl.Advance(s.clock())
+	return Observation{GW: gw, State: g.ctl.State().String(), SN: g.sn.Value()}
 }
 
 // OnlineCount returns how many gateways are not sleeping.
@@ -168,23 +122,23 @@ func (s *Server) OnlineCount() int {
 	now := s.clock()
 	n := 0
 	for _, g := range s.gws {
-		s.advanceLocked(g, now)
-		if g.state != StateSleeping {
+		if g.ctl.Advance(now); g.ctl.State() != power.Sleeping {
 			n++
 		}
 	}
 	return n
 }
 
-// OnTimes returns cumulative online virtual seconds per gateway.
+// OnTimes returns cumulative online (on or waking) virtual seconds per
+// gateway.
 func (s *Server) OnTimes() []float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now := s.clock()
 	out := make([]float64, len(s.gws))
 	for i, g := range s.gws {
-		s.advanceLocked(g, now)
-		out[i] = g.onTime
+		g.ctl.Advance(now)
+		out[i] = g.ctl.Device().OnTimeAt(now)
 	}
 	return out
 }
@@ -195,7 +149,7 @@ func (s *Server) Wakeups() int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, g := range s.gws {
-		n += g.wakeups
+		n += g.ctl.Device().Wakeups()
 	}
 	return n
 }
@@ -263,16 +217,4 @@ func gwParam(r *http.Request) (int, error) {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// stateToPower maps wire states to power states (used by diagnostics).
-func stateToPower(st GatewayState) power.State {
-	switch st {
-	case StateOn:
-		return power.On
-	case StateWaking:
-		return power.Waking
-	default:
-		return power.Sleeping
-	}
 }

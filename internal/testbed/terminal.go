@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"insomnia/internal/bh2"
+	"insomnia/internal/power"
 	"insomnia/internal/stats"
 	"insomnia/internal/wifi"
 )
@@ -120,14 +121,15 @@ func (t *Terminal) Tick(now float64, bytesDue int64) error {
 			est = wifi.NewLoadEstimator(t.backhaulBps)
 			t.estimators[gw] = est
 		}
-		if obs.State == StateOn {
+		awake := obs.State == power.On.String()
+		if awake {
 			est.Observe(now, obs.SN)
 		} else {
 			est.Reset()
 		}
 		views = append(views, bh2.GatewayView{
 			ID:     gw,
-			Awake:  obs.State == StateOn,
+			Awake:  awake,
 			Load:   est.Utilization(now, t.Params.EstWindow),
 			Active: est.ActiveWithin(now, t.Params.EstWindow),
 		})

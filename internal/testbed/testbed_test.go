@@ -3,8 +3,6 @@ package testbed
 import (
 	"testing"
 	"time"
-
-	"insomnia/internal/power"
 )
 
 // manualClock gives tests full control of virtual time.
@@ -14,10 +12,10 @@ func (c *manualClock) now() float64 { return c.t }
 
 func TestServerSoILifecycle(t *testing.T) {
 	clk := &manualClock{}
-	s := NewServer(2, 60, 60, clk.now)
+	s := NewServer(2, clk.now)
 
 	// Initially on.
-	if got := s.Observe(0).State; got != StateOn {
+	if got := s.Observe(0).State; got != "on" {
 		t.Fatalf("initial state %v", got)
 	}
 	// Traffic keeps it awake; silence sleeps it after the timeout.
@@ -25,11 +23,11 @@ func TestServerSoILifecycle(t *testing.T) {
 		t.Fatal("traffic rejected while on")
 	}
 	clk.t = 59
-	if got := s.Observe(0).State; got != StateOn {
+	if got := s.Observe(0).State; got != "on" {
 		t.Fatalf("slept early: %v", got)
 	}
 	clk.t = 61
-	if got := s.Observe(0).State; got != StateSleeping {
+	if got := s.Observe(0).State; got != "sleeping" {
 		t.Fatalf("state at 61 = %v, want sleeping", got)
 	}
 	// Traffic to a sleeping gateway is not delivered.
@@ -38,11 +36,11 @@ func TestServerSoILifecycle(t *testing.T) {
 	}
 	// Wake takes WakeDelay.
 	s.Wake(0)
-	if got := s.Observe(0).State; got != StateWaking {
+	if got := s.Observe(0).State; got != "waking" {
 		t.Fatalf("state after wake = %v", got)
 	}
 	clk.t = 122
-	if got := s.Observe(0).State; got != StateOn {
+	if got := s.Observe(0).State; got != "on" {
 		t.Fatalf("state after wake delay = %v", got)
 	}
 	if s.Wakeups() != 1 {
@@ -52,7 +50,7 @@ func TestServerSoILifecycle(t *testing.T) {
 
 func TestServerSNCountsFrames(t *testing.T) {
 	clk := &manualClock{}
-	s := NewServer(1, 600, 60, clk.now)
+	s := NewServer(1, clk.now)
 	before := s.Observe(0).SN
 	s.Traffic(0, 4500) // 3 frames
 	after := s.Observe(0).SN
@@ -63,7 +61,7 @@ func TestServerSNCountsFrames(t *testing.T) {
 
 func TestServerOnTimes(t *testing.T) {
 	clk := &manualClock{}
-	s := NewServer(1, 60, 60, clk.now)
+	s := NewServer(1, clk.now)
 	clk.t = 100 // sleeps at 60
 	ot := s.OnTimes()
 	if ot[0] < 59.9 || ot[0] > 60.1 {
@@ -71,15 +69,34 @@ func TestServerOnTimes(t *testing.T) {
 	}
 }
 
-func TestStateToPower(t *testing.T) {
-	if stateToPower(StateOn) != power.On || stateToPower(StateWaking) != power.Waking || stateToPower(StateSleeping) != power.Sleeping {
-		t.Error("state mapping wrong")
+// TestServerWakeCycleAccounting pins on-time and wakeups across a full
+// sleep cycle: on from 0 to 60 s, asleep from 60 to 61 s, a wake request
+// at 61 s, waking until 121 s, then on. A waking gateway draws full power,
+// so it counts as online.
+func TestServerWakeCycleAccounting(t *testing.T) {
+	clk := &manualClock{}
+	s := NewServer(1, clk.now)
+	clk.t = 61
+	if got := s.Observe(0).State; got != "sleeping" {
+		t.Fatalf("state at 61 = %v, want sleeping", got)
+	}
+	s.Wake(0)
+	s.Wake(0) // a second request while waking is not a second wakeup
+	clk.t = 130
+	if got := s.Observe(0).State; got != "on" {
+		t.Fatalf("state at 130 = %v, want on", got)
+	}
+	if ot := s.OnTimes(); ot[0] != 129 {
+		t.Errorf("onTime = %v, want 129 (60 on + 60 waking + 9 on)", ot[0])
+	}
+	if w := s.Wakeups(); w != 1 {
+		t.Errorf("wakeups = %d, want 1", w)
 	}
 }
 
 func TestHTTPEndpoints(t *testing.T) {
 	clk := &manualClock{}
-	s := NewServer(3, 60, 60, clk.now)
+	s := NewServer(3, clk.now)
 	base, err := s.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +108,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if obs.State != StateOn || obs.GW != 1 {
+	if obs.State != "on" || obs.GW != 1 {
 		t.Fatalf("obs = %+v", obs)
 	}
 	ok, err := c.SendTraffic(1, 3000)
@@ -172,13 +189,6 @@ func TestLiveExperimentBH2BeatsSoI(t *testing.T) {
 		t.Errorf("BH2 online %.2f >= SoI %.2f; expected fewer online APs", bh.MeanOnline, soi.MeanOnline)
 	}
 	t.Logf("SoI online %.2f, BH2 online %.2f (paper: 5.28 vs 3.54 of 9)", soi.MeanOnline, bh.MeanOnline)
-}
-
-func TestRunValidatesSchedule(t *testing.T) {
-	_, err := Run(Config{Gateways: 4, Duration: 10, TimeScale: 0.001, Schedule: make([][]int64, 2)})
-	if err == nil {
-		t.Error("expected schedule size error")
-	}
 }
 
 func TestVirtualClockPacing(t *testing.T) {

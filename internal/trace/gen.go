@@ -53,13 +53,6 @@ type Config struct {
 	ThinkMedianSec float64 // median of the lognormal think-time component
 	FlowBodyMedian float64 // lognormal median of typical web flows (bytes)
 	BigFlowProb    float64 // probability a flow is a large download
-
-	// StreamProb is the probability that an online session carries a
-	// rate-limited media stream (internet radio, 2007-era video) for its
-	// whole duration. Streams provide the sustained medium loads real
-	// traces exhibit between bursty transfers; NoStreams disables them.
-	StreamProb float64
-	NoStreams  bool
 }
 
 // Calibrated defaults shared by both scenarios; see the calibration tests,
@@ -86,7 +79,11 @@ const (
 	uploadProb    = 0.04 // probability a flow has a companion upload
 	uploadScale   = 0.5  // companion upload size factor
 
-	defStreamProb   = 0.15  // sessions carrying a media stream
+	// streamProb is the probability that an online session carries a
+	// rate-limited media stream (internet radio, 2007-era video) for its
+	// whole duration. Streams provide the sustained medium loads real
+	// traces exhibit between bursty transfers.
+	streamProb      = 0.15
 	streamRateMed   = 250e3 // lognormal median stream rate, bps (FLV-era video)
 	streamRateSigma = 0.5
 	streamRateMin   = 48e3
@@ -128,12 +125,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BigFlowProb == 0 {
 		c.BigFlowProb = defBigFlow
-	}
-	if c.StreamProb == 0 && !c.NoStreams {
-		c.StreamProb = defStreamProb
-	}
-	if c.NoStreams {
-		c.StreamProb = 0
 	}
 	return c
 }
@@ -322,10 +313,8 @@ func expectedEvents(cfg Config) (flows, keepalives int) {
 	if cfg.Uplink {
 		flowsPer *= 2 + uploadProb // every flow gets an ACK, some an upload
 	}
-	if cfg.StreamProb > 0 {
-		sessions := onlineSec/cfg.SessionMeanSec + mean
-		flowsPer += sessions * cfg.StreamProb * cfg.SessionMeanSec / streamChunkSec
-	}
+	sessions := onlineSec/cfg.SessionMeanSec + mean
+	flowsPer += sessions * streamProb * cfg.SessionMeanSec / streamChunkSec
 	kaPer := 0.0
 	if !cfg.FlowsOnly {
 		kaPer = epochs * (1 - cfg.FlowProb)
@@ -439,13 +428,13 @@ func genClient(tr *Trace, client int32, r *rand.Rand, cfg Config, weight float64
 }
 
 // maybeStream emits a rate-limited media stream spanning a session with
-// probability cfg.StreamProb. Media plays in chunks (songs, clips, video
+// probability streamProb. Media plays in chunks (songs, clips, video
 // segments of a few minutes), so the stream is a back-to-back sequence of
 // rate-capped flows: each chunk is new traffic and re-routes through the
 // terminal's current gateway — exactly how BH² migrates long-lived media
 // sessions without dropping flows (§5.1).
 func maybeStream(tr *Trace, client int32, r *rand.Rand, cfg Config, start, end float64) {
-	if r.Float64() >= cfg.StreamProb {
+	if r.Float64() >= streamProb {
 		return
 	}
 	if end > cfg.Duration {

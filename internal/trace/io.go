@@ -1,150 +1,12 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 )
-
-// Binary trace format:
-//
-//	magic "INSMTR2\n", then little-endian:
-//	clients, aps uint32; duration, backhaul, uplink float64;
-//	clientAP [clients]uint32; nFlows uint64; flows; nKeep uint64; keepalives.
-//
-// The generator Config's shape knobs are not serialized — a stored trace is
-// data, not a recipe.
-var binaryMagic = []byte("INSMTR2\n")
-
-// WriteBinary serializes the trace to w in the compact binary format.
-func (tr *Trace) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic); err != nil {
-		return err
-	}
-	le := binary.LittleEndian
-	writeErr := func(vals ...any) error {
-		for _, v := range vals {
-			if err := binary.Write(bw, le, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := writeErr(uint32(tr.Cfg.Clients), uint32(tr.Cfg.APs),
-		tr.Cfg.Duration, tr.Cfg.BackhaulBps, tr.Cfg.UplinkBps); err != nil {
-		return err
-	}
-	for _, ap := range tr.ClientAP {
-		if err := writeErr(uint32(ap)); err != nil {
-			return err
-		}
-	}
-	if err := writeErr(uint64(len(tr.Flows))); err != nil {
-		return err
-	}
-	for _, f := range tr.Flows {
-		up := uint8(0)
-		if f.Up {
-			up = 1
-		}
-		if err := writeErr(f.Start, f.Client, f.Bytes, f.Rate, up); err != nil {
-			return err
-		}
-	}
-	if err := writeErr(uint64(len(tr.Keepalives))); err != nil {
-		return err
-	}
-	for _, p := range tr.Keepalives {
-		if err := writeErr(p.T, p.Client, p.Bytes); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a trace written by WriteBinary and validates it.
-func ReadBinary(r io.Reader) (*Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(magic) != string(binaryMagic) {
-		return nil, fmt.Errorf("trace: bad magic %q", magic)
-	}
-	le := binary.LittleEndian
-	readErr := func(vals ...any) error {
-		for _, v := range vals {
-			if err := binary.Read(br, le, v); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var clients, aps uint32
-	tr := &Trace{}
-	if err := readErr(&clients, &aps, &tr.Cfg.Duration, &tr.Cfg.BackhaulBps, &tr.Cfg.UplinkBps); err != nil {
-		return nil, fmt.Errorf("trace: reading header: %w", err)
-	}
-	const maxEntities = 1 << 22
-	if clients == 0 || aps == 0 || clients > maxEntities || aps > maxEntities {
-		return nil, fmt.Errorf("trace: implausible header clients=%d aps=%d", clients, aps)
-	}
-	tr.Cfg.Clients, tr.Cfg.APs = int(clients), int(aps)
-	tr.ClientAP = make([]int, clients)
-	for i := range tr.ClientAP {
-		var ap uint32
-		if err := readErr(&ap); err != nil {
-			return nil, fmt.Errorf("trace: reading clientAP: %w", err)
-		}
-		tr.ClientAP[i] = int(ap)
-	}
-	var nFlows uint64
-	if err := readErr(&nFlows); err != nil {
-		return nil, err
-	}
-	const maxRecords = 1 << 30
-	if nFlows > maxRecords {
-		return nil, fmt.Errorf("trace: implausible flow count %d", nFlows)
-	}
-	// Grow incrementally rather than trusting the header's count with one
-	// giant allocation: a corrupt header must fail on EOF, not on OOM.
-	const chunk = 1 << 16
-	tr.Flows = make([]Flow, 0, min64(nFlows, chunk))
-	for i := uint64(0); i < nFlows; i++ {
-		var f Flow
-		var up uint8
-		if err := readErr(&f.Start, &f.Client, &f.Bytes, &f.Rate, &up); err != nil {
-			return nil, fmt.Errorf("trace: reading flow %d: %w", i, err)
-		}
-		f.Up = up != 0
-		tr.Flows = append(tr.Flows, f)
-	}
-	var nKeep uint64
-	if err := readErr(&nKeep); err != nil {
-		return nil, err
-	}
-	if nKeep > maxRecords {
-		return nil, fmt.Errorf("trace: implausible keepalive count %d", nKeep)
-	}
-	tr.Keepalives = make([]Packet, 0, min64(nKeep, chunk))
-	for i := uint64(0); i < nKeep; i++ {
-		var p Packet
-		if err := readErr(&p.T, &p.Client, &p.Bytes); err != nil {
-			return nil, fmt.Errorf("trace: reading keepalive %d: %w", i, err)
-		}
-		tr.Keepalives = append(tr.Keepalives, p)
-	}
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
 
 // ReadFlowsCSV parses flow records written by WriteFlowsCSV (or converted
 // from a real packet trace): header start,client,bytes,rate,up, one flow
@@ -202,13 +64,6 @@ func ReadFlowsCSV(rd io.Reader, cfg Config, clientAP []int) (*Trace, error) {
 		return nil, err
 	}
 	return tr, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WriteFlowsCSV writes the flow records as CSV with a header row:

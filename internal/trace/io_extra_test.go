@@ -67,32 +67,8 @@ func TestReadFlowsCSVSortsByStart(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary hardens the binary decoder against corrupt input: it must
-// error or return a valid trace, never panic or over-allocate wildly.
-func FuzzReadBinary(f *testing.F) {
-	tr, err := Generate(Config{Clients: 6, APs: 2, Profile: OfficeProfile, Seed: 9, Duration: 1800})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte("INSMTR2\n"))
-	f.Add(bytes.Repeat([]byte{0xff}, 64))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadBinary(bytes.NewReader(data))
-		if err == nil {
-			if vErr := got.Validate(); vErr != nil {
-				t.Fatalf("decoder returned invalid trace: %v", vErr)
-			}
-		}
-	})
-}
-
-// FuzzReadFlowsCSV does the same for the CSV path.
+// FuzzReadFlowsCSV hardens the CSV reader against corrupt input: it must
+// error or return a valid trace, never panic.
 func FuzzReadFlowsCSV(f *testing.F) {
 	f.Add("start,client,bytes,rate,up\n1,0,10,0,false\n")
 	f.Add("start,client,bytes,rate,up\n")
