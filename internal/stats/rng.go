@@ -10,7 +10,8 @@ import (
 // can hand sub-seeds to its components without coupling their draws.
 //
 // The generator draws exactly what rand.New(rand.NewSource(...)) would for
-// the same mixed seed, but seeds about 4x faster (see source). Like
+// the same mixed seed, but seeding is deferred to the first draws (see
+// source). Like
 // math/rand, it folds the 64-bit mixed seed to one of 2³¹−1 states, so two
 // labels can collide: the per-client streams of a 100k-client trace
 // include one to four pairs of identical streams (trace seeds 1, 2 and 5

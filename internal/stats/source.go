@@ -5,15 +5,22 @@ import "math/rand"
 // source is math/rand v1's generator (the additive lagged Fibonacci
 // source rand.NewSource returns) with the same state, the same Uint64 and
 // Int63, and the same seeding, so every draw through a *rand.Rand over it
-// is bit-identical to one over rand.NewSource. Only Seed differs in how it
-// computes the state: math/rand walks one serial MINSTD chain of 1,841
+// is bit-identical to one over rand.NewSource. Only how the state is
+// computed differs. math/rand walks one serial MINSTD chain of 1,841
 // steps, while here each MINSTD word is an independent multiply by a
-// precomputed power of the multiplier. Seeding is what a per-client stream
-// costs the trace generator, so this is where the speed matters.
+// precomputed power of the multiplier, so any slot can be computed alone.
+// Seeding is deferred to the first draws: Seed stores the normalized
+// seed, and each of the first rngLen−rngTap draws computes the initial
+// slots it reads (see Uint64). A per-client trace stream draws a few dozen
+// values, so it computes a few dozen of the 607 slots rather than all.
 type source struct {
 	tap  int
 	feed int
-	vec  [rngLen]int64
+	// pending counts the draws still to come that read an initial slot;
+	// x0 is the normalized seed they compute those slots from.
+	pending int
+	x0      uint64
+	vec     [rngLen]int64
 }
 
 const (
@@ -79,9 +86,11 @@ func mulMod(a, b uint64) uint64 {
 }
 
 // Seed sets the generator to the state rand.NewSource(seed) starts from.
+// The state's slots are computed by the draws that first read them.
 func (s *source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
+	s.pending = rngLen - rngTap
 
 	seed = seed % minstdM
 	if seed < 0 {
@@ -90,14 +99,15 @@ func (s *source) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	// Slot i mixes MINSTD words 21+3i, 22+3i and 23+3i, each the seed
-	// times a power of the multiplier.
-	x0 := uint64(seed)
-	for i := range s.vec {
-		p := &minstdPow[i]
-		u := mulMod(x0, p[0])<<40 ^ mulMod(x0, p[1])<<20 ^ mulMod(x0, p[2])
-		s.vec[i] = int64(u) ^ rngCooked[i]
-	}
+	s.x0 = uint64(seed)
+}
+
+// slot returns slot i of the seeded state. It mixes MINSTD words 21+3i,
+// 22+3i and 23+3i, each the seed times a power of the multiplier.
+func (s *source) slot(i int) int64 {
+	p := &minstdPow[i]
+	u := mulMod(s.x0, p[0])<<40 ^ mulMod(s.x0, p[1])<<20 ^ mulMod(s.x0, p[2])
+	return int64(u) ^ rngCooked[i]
 }
 
 // Int63 returns a non-negative pseudo-random 63-bit integer as an int64.
@@ -117,6 +127,19 @@ func (s *source) Uint64() uint64 {
 		s.feed += rngLen
 	}
 
+	if s.pending > 0 {
+		// The first rngLen−rngTap draws after Seed feed from slots no
+		// draw has touched, so each computes its feed slot. While its tap
+		// is one of the top rngTap slots, which no draw feeds from until
+		// draw rngLen−rngTap, it computes and stores that slot too; later
+		// taps read slots that earlier draws fed. Each slot is computed
+		// once, as a full seeding would.
+		s.pending--
+		s.vec[s.feed] = s.slot(s.feed)
+		if s.tap >= rngLen-rngTap {
+			s.vec[s.tap] = s.slot(s.tap)
+		}
+	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,20 +57,28 @@ func TestSourceMatchesMathRand(t *testing.T) {
 }
 
 // TestReseedMatchesNewRNG checks that Reseed, applied after a partial
-// draw, leaves the generator exactly where a fresh NewRNG starts.
+// draw, leaves the generator exactly where a fresh NewRNG starts. The draw
+// counts straddle the lazily seeded first draws: 273 is the tap distance
+// and 334 the draws that read an initial slot.
 func TestReseedMatchesNewRNG(t *testing.T) {
 	r := NewRNG(3, 0x1000)
-	for i, stream := range []uint64{0x1000, 0x1001, 0xdec1de, 0} {
-		for k := 0; k < 100*i+1; k++ {
-			r.Float64()
+	for _, tc := range []struct {
+		stream uint64
+		draws  int
+	}{
+		{0x1000, 0}, {0x1001, 1}, {0xdec1de, 101}, {0, 201},
+		{0x1002, 272}, {0x1003, 273}, {0x1004, 333}, {0x1005, 334},
+	} {
+		for k := 0; k < tc.draws; k++ {
+			r.Uint64()
 		}
-		r.NormFloat64() // leave the rand.Rand mid-draw for any cached state
-		Reseed(r, 9, stream)
-		want := drawAll(NewRNG(9, stream), 700)
+		Reseed(r, 9, tc.stream)
+		want := drawAll(NewRNG(9, tc.stream), 700)
 		got := drawAll(r, 700)
 		for k := range want {
 			if got[k] != want[k] {
-				t.Fatalf("stream %#x: reseeded draw %d = %#x, fresh NewRNG gives %#x", stream, k, got[k], want[k])
+				t.Fatalf("stream %#x after %d draws: reseeded draw %d = %#x, fresh NewRNG gives %#x",
+					tc.stream, tc.draws, k, got[k], want[k])
 			}
 		}
 	}
@@ -84,11 +93,21 @@ func BenchmarkNewRNG(b *testing.B) {
 	}
 }
 
+// BenchmarkReseed reseeds and then draws what a light trace client draws,
+// a few dozen values; a bare Reseed only stores the seed. The heavy
+// variant draws past the lazily seeded first draws, so it computes all 607
+// state slots.
 func BenchmarkReseed(b *testing.B) {
-	r := NewRNG(1, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Reseed(r, 1, uint64(i))
+	for _, draws := range []int{32, 400} {
+		b.Run(fmt.Sprintf("draws=%d", draws), func(b *testing.B) {
+			r := NewRNG(1, 0)
+			for i := 0; i < b.N; i++ {
+				Reseed(r, 1, uint64(i))
+				for k := 0; k < draws; k++ {
+					r.Uint64()
+				}
+			}
+			sinkRNG = r
+		})
 	}
-	sinkRNG = r
 }

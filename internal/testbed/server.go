@@ -76,20 +76,20 @@ func NewServer(n int, clock func() float64) *Server {
 	return s
 }
 
-// Traffic records bytes sent through gateway gw; returns false if the
-// gateway is sleeping (traffic lost — the terminal should not have sent it).
-// A waking gateway accepts traffic but carries no frames yet.
+// Traffic records bytes sent through gateway gw and reports whether the
+// gateway carried them. Only an awake gateway does: a sleeping one loses
+// them (the terminal should not have sent them), and a waking one carries
+// nothing yet, so the terminal keeps its backlog until the wake completes,
+// as the simulator holds a waking gateway's flows.
 func (s *Server) Traffic(gw int, bytes int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	now, g := s.clock(), s.gws[gw]
-	if g.ctl.Advance(now); g.ctl.State() == power.Sleeping {
+	if g.ctl.Advance(now); !g.ctl.Awake() {
 		return false
 	}
 	g.ctl.Touch(now)
-	if g.ctl.Awake() {
-		g.sn.Advance(wifi.FramesFor(bytes))
-	}
+	g.sn.Advance(wifi.FramesFor(bytes))
 	return true
 }
 
@@ -187,9 +187,6 @@ func (s *Server) Start() (string, error) {
 		}
 		s.Wake(gw)
 		writeJSON(w, map[string]bool{"ok": true})
-	})
-	mux.HandleFunc("GET /online", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]int{"online": s.OnlineCount()})
 	})
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -60,19 +60,6 @@ func (c *Client) WakeHome(gw int) error {
 	return nil
 }
 
-// Online fetches the current online AP count.
-func (c *Client) Online() (int, error) {
-	resp, err := c.http.Get(c.base + "/online")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Online int `json:"online"`
-	}
-	return out.Online, json.NewDecoder(resp.Body).Decode(&out)
-}
-
 // Terminal is one BH² line owner: it replays a per-second byte schedule
 // through its selected gateway and runs the decision algorithm against
 // passive observations, all over the wire.

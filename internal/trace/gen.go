@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"insomnia/internal/stats"
 )
@@ -233,15 +236,31 @@ func Generate(cfg Config) (*Trace, error) {
 		}
 	}
 
-	// One generator reseeded per client instead of one allocated per
-	// client: the source's state is ~5 KB, which at city scale (100k
-	// clients) would be most of the generator's heap churn. A re-seed
-	// computes the 607 state words independently rather than walking
-	// math/rand's 1,841-step serial chain, and costs about 3 µs on a
-	// 2-CPU Xeon VM (BenchmarkReseed in internal/stats). It reproduces
-	// NewRNG's state exactly, so traces are unchanged.
-	r := stats.NewRNG(cfg.Seed, 0x1000)
-	for c := 0; c < cfg.Clients; c++ {
+	if workers := min(runtime.GOMAXPROCS(0), blockCount(cfg.Clients)); workers > 1 {
+		genParallel(tr, cfg, workers)
+	} else {
+		genClients(tr, cfg, stats.NewRNG(cfg.Seed, 0x1000), 0, cfg.Clients)
+	}
+	sortByTime(tr)
+	return tr, nil
+}
+
+// genBlock is how many clients a generator worker synthesizes at a time.
+// A trace of fewer than two blocks is generated on the calling goroutine.
+const genBlock = 1024
+
+// blockCount is the number of genBlock-client blocks covering n clients.
+func blockCount(n int) int { return (n + genBlock - 1) / genBlock }
+
+// genClients appends the events of clients [lo, hi) to dst in client
+// order. One generator reseeded per client instead of one allocated per
+// client: the source's state is ~5 KB, which at city scale (100k clients)
+// would be most of the generator's heap churn. A reseed only stores the
+// seed, and the client's first draws compute the state words they read
+// (BenchmarkReseed in internal/stats). It reproduces NewRNG's stream
+// exactly, so traces are unchanged.
+func genClients(dst *Trace, cfg Config, r *rand.Rand, lo, hi int) {
+	for c := lo; c < hi; c++ {
 		key := uint64(c)
 		if cfg.Symmetric {
 			// Slot-keyed streams: clients in the same slot on different
@@ -254,11 +273,95 @@ func Generate(cfg Config) (*Trace, error) {
 			s := cfg.ClientWeightSigma
 			w = stats.Lognormal(r, -s*s/2, s) // mean 1
 		}
-		genClient(tr, int32(c), r, cfg, w)
+		genClient(dst, int32(c), r, cfg, w)
 	}
-	sort.Slice(tr.Flows, func(i, j int) bool { return tr.Flows[i].Start < tr.Flows[j].Start })
-	sort.Slice(tr.Keepalives, func(i, j int) bool { return tr.Keepalives[i].T < tr.Keepalives[j].T })
-	return tr, nil
+}
+
+// blockSlot is one slot of genParallel's ring: the buffer block turn is
+// generated into, and whether it holds that block's events yet.
+type blockSlot struct {
+	turn  int
+	ready bool
+	buf   Trace
+}
+
+// genParallel generates the clients' events in blocks of genBlock clients
+// on workers goroutines and appends the blocks to tr in block order, so
+// tr's events come out exactly as genClients over all clients appends
+// them. Block b is generated into slot b mod len(ring) once the caller
+// has appended block b−len(ring) from it, so the ring of workers+1
+// recycled buffers bounds the memory in flight whatever the client count.
+// All workers have exited when it returns.
+func genParallel(tr *Trace, cfg Config, workers int) {
+	// A block's buffers start at its share of the trace's estimated size
+	// plus a quarter: one block's count strays further from its share
+	// than the whole trace's does (up to 1.19 of it on city traces).
+	blocks := blockCount(cfg.Clients)
+	blockFlows := cap(tr.Flows)*genBlock/cfg.Clients*5/4 + 1
+	blockKeepalives := cap(tr.Keepalives)*genBlock/cfg.Clients*5/4 + 1
+	ring := make([]blockSlot, min(workers+1, blocks))
+	for i := range ring {
+		ring[i] = blockSlot{turn: i, buf: Trace{
+			Flows:      make([]Flow, 0, blockFlows),
+			Keepalives: make([]Packet, 0, blockKeepalives),
+		}}
+	}
+	var mu sync.Mutex
+	changed := sync.NewCond(&mu)
+	// await blocks until slot s is on block turn with the given readiness;
+	// publish moves it there and wakes every waiter.
+	await := func(s *blockSlot, turn int, ready bool) {
+		mu.Lock()
+		for s.turn != turn || s.ready != ready {
+			changed.Wait()
+		}
+		mu.Unlock()
+	}
+	publish := func(s *blockSlot, turn int, ready bool) {
+		mu.Lock()
+		s.turn, s.ready = turn, ready
+		mu.Unlock()
+		changed.Broadcast()
+	}
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := stats.NewRNG(cfg.Seed, 0x1000)
+			for b := int(next.Add(1) - 1); b < blocks; b = int(next.Add(1) - 1) {
+				s := &ring[b%len(ring)]
+				await(s, b, false)
+				s.buf.Flows, s.buf.Keepalives = s.buf.Flows[:0], s.buf.Keepalives[:0]
+				genClients(&s.buf, cfg, r, b*genBlock, min((b+1)*genBlock, cfg.Clients))
+				publish(s, b, true)
+			}
+		}()
+	}
+	for b := 0; b < blocks; b++ {
+		s := &ring[b%len(ring)]
+		await(s, b, true)
+		tr.Flows = append(tr.Flows, s.buf.Flows...)
+		tr.Keepalives = append(tr.Keepalives, s.buf.Keepalives...)
+		publish(s, b+len(ring), false)
+	}
+	wg.Wait()
+}
+
+// sortByTime puts the trace in time order, sorting the flows and the
+// keepalives on two goroutines. The sort is not stable but deterministic:
+// the order of equal-time events is fixed by the input order. It is the
+// pdqsort sort.Slice runs, so that order is the one traces always had.
+func sortByTime(tr *Trace) {
+	done := make(chan struct{})
+	go func() {
+		slices.SortFunc(tr.Keepalives, byTime)
+		close(done)
+	}()
+	slices.SortFunc(tr.Flows, byStart)
+	<-done
 }
 
 // boundedParetoMean is the mean of the bounded Pareto(alpha, lo, hi)

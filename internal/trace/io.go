@@ -4,7 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -59,7 +59,7 @@ func ReadFlowsCSV(rd io.Reader, cfg Config, clientAP []int) (*Trace, error) {
 		}
 		tr.Flows = append(tr.Flows, f)
 	}
-	sort.Slice(tr.Flows, func(i, j int) bool { return tr.Flows[i].Start < tr.Flows[j].Start })
+	slices.SortFunc(tr.Flows, byStart)
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}

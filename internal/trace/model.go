@@ -19,8 +19,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Day is the trace duration in seconds.
@@ -58,6 +59,12 @@ type Trace struct {
 	ClientAP   []int    // home AP per client
 }
 
+// byStart and byTime are a trace's time order: flows by start time and
+// packets by send time. Generate and ReadFlowsCSV sort by them, and
+// Validate checks them.
+func byStart(a, b Flow) int  { return cmp.Compare(a.Start, b.Start) }
+func byTime(a, b Packet) int { return cmp.Compare(a.T, b.T) }
+
 // Validate checks internal invariants: sortedness, index ranges, positive
 // sizes. The generator always produces valid traces; Validate guards
 // deserialized input.
@@ -70,10 +77,10 @@ func (tr *Trace) Validate() error {
 			return fmt.Errorf("trace: client %d mapped to invalid AP %d", i, ap)
 		}
 	}
-	if !sort.SliceIsSorted(tr.Flows, func(i, j int) bool { return tr.Flows[i].Start < tr.Flows[j].Start }) {
+	if !slices.IsSortedFunc(tr.Flows, byStart) {
 		return fmt.Errorf("trace: flows not sorted by start time")
 	}
-	if !sort.SliceIsSorted(tr.Keepalives, func(i, j int) bool { return tr.Keepalives[i].T < tr.Keepalives[j].T }) {
+	if !slices.IsSortedFunc(tr.Keepalives, byTime) {
 		return fmt.Errorf("trace: keepalives not sorted by time")
 	}
 	for i, f := range tr.Flows {

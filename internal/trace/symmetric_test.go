@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -96,7 +97,10 @@ func TestSymmetricRejectsZipf(t *testing.T) {
 // reseeded RNG and up-front event-slice sizing mean the allocation count
 // stays (nearly) independent of the client count. Before this pin the
 // generator allocated a ~5 KB rand source per client (2+ allocs/client,
-// ~500 MB of the 100k-client city benchmark).
+// ~500 MB of the 100k-client city benchmark). testing.AllocsPerRun runs at
+// GOMAXPROCS 1, so it measures the serial loop; the parallel path is
+// measured at GOMAXPROCS 4 on a trace of about 200 client blocks, where
+// any per-block allocation would exceed the bound.
 func TestGenerateAllocsFlat(t *testing.T) {
 	cfg := DefaultCityConfig(3)
 	cfg.Clients, cfg.APs, cfg.Duration = 5000, 500, 7200
@@ -105,9 +109,27 @@ func TestGenerateAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured ~17; anything linear in clients would be >= 5000.
+	// Measured 13; anything linear in clients would be >= 5000.
 	if allocs > 200 {
 		t.Fatalf("Generate allocated %.0f times for %d clients; want a client-count-independent profile (<= 200)",
 			allocs, cfg.Clients)
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfg.Clients, cfg.APs, cfg.Duration = 200*genBlock, 20_000, 60
+	if _, err := Generate(cfg); err != nil { // warm up, as AllocsPerRun does
+		t.Fatal(err)
+	}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if _, err := Generate(cfg); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	// Measured 50–53 at GOMAXPROCS 4: per worker a goroutine and an RNG, per
+	// ring slot two buffers.
+	if allocs := m1.Mallocs - m0.Mallocs; allocs > 200 {
+		t.Fatalf("parallel Generate allocated %d times for %d client blocks; want a block-count-independent profile (<= 200)",
+			allocs, blockCount(cfg.Clients))
 	}
 }

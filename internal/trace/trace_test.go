@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"insomnia/internal/stats"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -77,6 +78,56 @@ func TestGenerateDeterministic(t *testing.T) {
 		}
 		if same {
 			t.Error("different seeds produced identical traces")
+		}
+	}
+}
+
+// TestGenerateParallelIdentical pins generator parallelism: a trace of
+// several client blocks is the same, element for element, at any
+// GOMAXPROCS. Both configs tie many flows at equal start times (city
+// clients online at t = 0 start their streams at 0, and symmetric clients
+// of one slot draw identical times), so a block appended out of order
+// would show as ties sorted differently.
+func TestGenerateParallelIdentical(t *testing.T) {
+	city := DefaultCityConfig(5)
+	city.Clients, city.APs, city.Duration = 3*genBlock+100, 100, 1800
+	sym := city
+	sym.Symmetric = true
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"city", city}, {"symmetric", sym}} {
+		var want *Trace
+		for _, procs := range []int{1, 2, 3, 4} {
+			runtime.GOMAXPROCS(procs)
+			got, err := Generate(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				ties := 0
+				for i := 1; i < len(got.Flows); i++ {
+					if got.Flows[i].Start == got.Flows[i-1].Start {
+						ties++
+					}
+				}
+				if ties == 0 || len(got.Keepalives) == 0 {
+					t.Fatalf("%s: %d flow ties, %d keepalives; the config no longer exercises the tie order",
+						tc.name, ties, len(got.Keepalives))
+				}
+				continue
+			}
+			if !slices.Equal(got.ClientAP, want.ClientAP) {
+				t.Errorf("%s: ClientAP at GOMAXPROCS %d differs from GOMAXPROCS 1", tc.name, procs)
+			}
+			if !slices.Equal(got.Flows, want.Flows) {
+				t.Errorf("%s: flows at GOMAXPROCS %d differ from GOMAXPROCS 1", tc.name, procs)
+			}
+			if !slices.Equal(got.Keepalives, want.Keepalives) {
+				t.Errorf("%s: keepalives at GOMAXPROCS %d differ from GOMAXPROCS 1", tc.name, procs)
+			}
 		}
 	}
 }
