@@ -26,7 +26,7 @@ import (
 const tickSeconds = 1.0
 
 // lineOp is one gateway wake/sleep side effect on the shelf, in the order
-// the engine would apply it (lineWake/lineSleep).
+// the engine would apply it (the engine's own lineOp).
 type lineOp struct {
 	t    float64
 	gw   int

@@ -30,6 +30,10 @@ const cancelCheckEvery = 4096
 // series and of the BH² load estimators.
 const tickSeconds = 1.0
 
+// resolveSeconds is the coordinated schemes' re-solve period: the paper's
+// oracle re-solves "every minute" (§5.1).
+const resolveSeconds = 60.0
+
 // run drives the merged event streams to the end of the trace, stopping
 // early (s.aborted) when the run's context is canceled.
 func (s *sim) run() {
@@ -37,9 +41,7 @@ func (s *sim) run() {
 		s.runSharded()
 		return
 	}
-	var n int
-	for s.step() {
-		n++
+	for n := 1; s.stepLane(s.main, math.Inf(1)); n++ {
 		if n&(cancelCheckEvery-1) == 0 && s.canceled() {
 			s.aborted = true
 			return
@@ -53,13 +55,10 @@ func (s *sim) canceled() bool {
 	return s.ctx != nil && s.ctx.Err() != nil
 }
 
-// step advances the serial lane by one event.
-func (s *sim) step() bool { return s.stepLane(s.main, math.Inf(1)) }
-
 // stepLane advances lane sh by one event — the next dynamic heap event or
-// trace record, whichever is earlier (heap wins ties, then flows, then
-// keepalives). It returns false once the lane's streams are exhausted, past
-// the trace end, or stopped by the fence.
+// trace record of a client homed on the lane, whichever is earlier (heap
+// wins ties, then flows, then keepalives). It returns false once the lane's
+// streams are exhausted, past the trace end, or stopped by the fence.
 //
 // The fence reproduces the serial heap's (t, seq) tie order against the
 // coordinator event exactly: trace records at the fence time always lose
@@ -69,7 +68,13 @@ func (s *sim) step() bool { return s.stepLane(s.main, math.Inf(1)) }
 // every event pushed during the phase, so lane-local seq comparison
 // recovers the global order without a global counter.
 func (s *sim) stepLane(sh *shard, fence float64) bool {
-	tr := s.cfg.Trace
+	tr, home := s.cfg.Trace, s.cfg.Topo.HomeOf
+	for sh.flowIdx < len(tr.Flows) && !sh.owns(home[tr.Flows[sh.flowIdx].Client]) {
+		sh.flowIdx++
+	}
+	for sh.keepIdx < len(tr.Keepalives) && !sh.owns(home[tr.Keepalives[sh.keepIdx].Client]) {
+		sh.keepIdx++
+	}
 	tNext := math.Inf(1)
 	src := -1 // 0=heap 1=flow 2=keepalive
 	if sh.h.len() > 0 {
@@ -77,25 +82,13 @@ func (s *sim) stepLane(sh *shard, fence float64) bool {
 			tNext, src = e.t, 0
 		}
 	}
-	if sh.flowOrder == nil {
-		if sh.flowIdx < len(tr.Flows) {
-			if ft := tr.Flows[sh.flowIdx].Start; ft < tNext && ft < fence {
-				tNext, src = ft, 1
-			}
-		}
-	} else if sh.flowIdx < len(sh.flowOrder) {
-		if ft := tr.Flows[sh.flowOrder[sh.flowIdx]].Start; ft < tNext && ft < fence {
+	if sh.flowIdx < len(tr.Flows) {
+		if ft := tr.Flows[sh.flowIdx].Start; ft < tNext && ft < fence {
 			tNext, src = ft, 1
 		}
 	}
-	if sh.keepOrder == nil {
-		if sh.keepIdx < len(tr.Keepalives) {
-			if kt := tr.Keepalives[sh.keepIdx].T; kt < tNext && kt < fence {
-				tNext, src = kt, 2
-			}
-		}
-	} else if sh.keepIdx < len(sh.keepOrder) {
-		if kt := tr.Keepalives[sh.keepOrder[sh.keepIdx]].T; kt < tNext && kt < fence {
+	if sh.keepIdx < len(tr.Keepalives) {
+		if kt := tr.Keepalives[sh.keepIdx].T; kt < tNext && kt < fence {
 			tNext, src = kt, 2
 		}
 	}
@@ -110,19 +103,11 @@ func (s *sim) stepLane(sh *shard, fence float64) bool {
 	case 0:
 		s.handle(sh, sh.h.pop())
 	case 1:
-		idx := sh.flowIdx
-		if sh.flowOrder != nil {
-			idx = int(sh.flowOrder[sh.flowIdx])
-		}
-		f := tr.Flows[idx]
-		s.flowArrival(sh, idx, int(f.Client), f.Up)
+		f := tr.Flows[sh.flowIdx]
+		s.flowArrival(sh, sh.flowIdx, int(f.Client), f.Up)
 		sh.flowIdx++
 	case 2:
-		idx := sh.keepIdx
-		if sh.keepOrder != nil {
-			idx = int(sh.keepOrder[sh.keepIdx])
-		}
-		k := tr.Keepalives[idx]
+		k := tr.Keepalives[sh.keepIdx]
 		s.keepalive(sh, int(k.Client), int64(k.Bytes))
 		sh.keepIdx++
 	}
@@ -165,7 +150,7 @@ func (s *sim) handle(sh *shard, e event) {
 		// aux 1 marks a one-shot failure-reaction solve: it must not spawn a
 		// second periodic chain.
 		if e.aux == 0 {
-			if t := s.now + s.cfg.OptimalEvery; t <= s.end {
+			if t := s.now + resolveSeconds; t <= s.end {
 				s.push(event{t: t, kind: evResolve})
 			}
 		}
@@ -231,7 +216,7 @@ func (s *sim) touch(sh *shard, g *gateway, t float64) {
 		// legal remap instant), cards may wake.
 		s.awaken(sh, g)
 		g.modem.SetState(t, power.Waking)
-		s.lineWake(sh, g.id, t)
+		s.lineOp(sh, g.id, true, t)
 		g.lastElapse = t
 	}
 	s.armGwCheck(sh, g)
@@ -277,7 +262,7 @@ func (s *sim) gwCheck(sh *shard, g *gateway) {
 		g.ctl.Advance(now)
 		if g.ctl.State() == power.Sleeping {
 			g.modem.SetState(due, power.Sleeping)
-			s.lineSleep(sh, g.id, due)
+			s.lineOp(sh, g.id, false, due)
 			g.est.Reset()
 			s.quiesce(sh, g)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"insomnia/internal/trace"
@@ -38,12 +39,12 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	s := handSim(t, SoI, nil, keeps)
 	// Warm up: process the first half of the trace.
 	for i := 0; i < 400; i++ {
-		if !s.step() {
+		if !s.stepLane(s.main, math.Inf(1)) {
 			t.Fatal("trace exhausted during warm-up")
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		s.step()
+		s.stepLane(s.main, math.Inf(1))
 	})
 	// Ticks observing newly-woken estimators may still grow a ring once in
 	// a while; the budget is "indistinguishable from zero per event".

@@ -286,9 +286,7 @@ func TestLoadSamplingOnlyWhenRead(t *testing.T) {
 			if shards > 0 && (sc == Optimal || sc == Centralized) {
 				continue // serial engine at every shard count
 			}
-			// A resolve every 5 minutes keeps the coordinated schemes'
-			// solves (their whole cost here) to three per run.
-			cfg, err := Config{Trace: tr, Topo: tp, Scheme: sc, Seed: 5, DSLAM: shelf, K: 4, Shards: shards, OptimalEvery: 300}.withDefaults()
+			cfg, err := Config{Trace: tr, Topo: tp, Scheme: sc, Seed: 5, DSLAM: shelf, K: 4, Shards: shards}.withDefaults()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -208,13 +208,10 @@ func (s *sim) armFailures(upTo float64) {
 	}
 }
 
-// laneOf returns the lane owning gateway gw (the single lane outside the
-// sharded engine).
+// laneOf returns the lane owning gateway gw: the first lane whose range
+// ends past it, since the lanes tile [0, nGW) in order.
 func (s *sim) laneOf(gw int) *shard {
-	if s.gwShard == nil {
-		return &s.shards[0]
-	}
-	return &s.shards[s.gwShard[gw]]
+	return &s.shards[sort.Search(len(s.shards), func(i int) bool { return gw < s.shards[i].hi })]
 }
 
 // failGateway applies one evFail: power is cut at now. Runs on the main
@@ -251,7 +248,7 @@ func (s *sim) failGateway(g *gateway, now float64) {
 		// The line was active: modem drops and the switch fabric sees the
 		// line go inactive, exactly as a voluntary sleep would.
 		g.modem.SetState(now, power.Sleeping)
-		s.lineSleep(s.main, g.id, now)
+		s.lineOp(s.main, g.id, false, now)
 		g.est.Reset()
 		s.quiesce(lane, g)
 	}
@@ -274,7 +271,7 @@ func (s *sim) recoverGateway(g *gateway, now float64) {
 	g.ctl.Restore(now)
 	s.awaken(lane, g)
 	g.modem.SetState(now, power.On)
-	s.lineWake(s.main, g.id, now)
+	s.lineOp(s.main, g.id, true, now)
 	// Flows that arrived during the downtime (user retries) queued stalled;
 	// service starts now, exactly as after an ordinary wake completion.
 	s.resumeService(lane, g, now)

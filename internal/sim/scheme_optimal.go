@@ -6,12 +6,12 @@ import (
 )
 
 // coordinatedScheme is the controller Optimal and Centralized share: it
-// re-solves the assignment every OptimalEvery seconds from every client's
+// re-solves the assignment every resolveSeconds from every client's
 // demand (demandInstance), so both runs stay on the serial engine.
 type coordinatedScheme struct{ baseScheme }
 
 func (coordinatedScheme) seedEvents(s *sim) {
-	s.push(event{t: s.cfg.OptimalEvery, kind: evResolve})
+	s.push(event{t: resolveSeconds, kind: evResolve})
 }
 
 // onFailure: the controller sees the line drop (loss of DSL signal) and
@@ -70,7 +70,7 @@ func demandInstance(s *sim) (optimal.Instance, []int) {
 		if bytes <= 0 {
 			continue
 		}
-		d := bytes * 8 / s.cfg.OptimalEvery
+		d := bytes * 8 / resolveSeconds
 		if d > s.cfg.Trace.Cfg.BackhaulBps {
 			d = s.cfg.Trace.Cfg.BackhaulBps
 		}

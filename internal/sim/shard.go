@@ -8,7 +8,11 @@ import (
 // The sharded event engine. One simulation is partitioned by gateway into S
 // independent lanes (see shard in state.go), each advanced by its own
 // worker goroutine, with a coordinator lane carrying the events that need
-// global order (metric ticks, failure events). The partition is exact, not
+// global order (metric ticks, failure events). Every lane reads the shared
+// trace and skips the records of clients homed outside its gateway range:
+// routing in a shard-local scheme is always the home gateway, so a record's
+// entire effect lands on its home lane, which consumes exactly its own
+// clients' records in trace (= time) order. The partition is exact, not
 // approximate: results are byte-identical to the serial engine at every
 // shard count, pinned by golden_test.go / shard_test.go.
 //
@@ -34,75 +38,37 @@ import (
 // coordinator event. With the default 1 s metric tick the fence overhead is
 // one pool rendezvous per simulated second.
 
-// buildLanes sets up the engine lanes for the configured shard count:
-// S shard lanes plus the coordinator when the scheme is shard-local, the
-// single serial lane otherwise. allAwake seeds the active-gateway bitsets
+// buildLanes sets up the engine lanes: Shards lanes of consecutive gateway
+// ranges plus the coordinator when the scheme is shard-local, the single
+// serial lane [0, nGW) otherwise. allAwake seeds the active-gateway bitsets
 // for schemes starting On.
 func (s *sim) buildLanes(allAwake bool) {
 	nGW := len(s.gws)
-	n := s.cfg.Shards
-	if n > nGW {
-		n = nGW
-	}
+	n := min(s.cfg.Shards, nGW)
 	// RandomWake draws every wake delay from one shared stream in global
 	// event order; shard-local wakes would reorder the draws.
 	if n < 2 || !catalogue[s.cfg.Scheme].shardLocal || s.cfg.RandomWake {
-		s.shards = []shard{{lo: 0, hi: nGW, bits: make([]uint64, (nGW+63)/64)}}
-		s.main = &s.shards[0]
-		if allAwake {
-			seedBits(&s.shards[0])
-		}
-		return
+		n = 1
 	}
-
 	s.shards = make([]shard, n)
-	s.gwShard = make([]int32, nGW)
-	for i := 0; i < n; i++ {
-		lo, hi := i*nGW/n, (i+1)*nGW/n
-		s.shards[i] = shard{
-			id: i, lo: lo, hi: hi,
-			bits:       make([]uint64, (hi-lo+63)/64),
-			deferSinks: true,
-		}
-		for g := lo; g < hi; g++ {
-			s.gwShard[g] = int32(i)
-		}
-		if allAwake {
-			seedBits(&s.shards[i])
-		}
-	}
-	// The coordinator lane owns no gateways and no trace records — only
-	// the globally-ordered event heap (ticks and failure events).
-	s.co = shard{id: n, deferSinks: false}
-	s.main = &s.co
-
-	// Partition the trace streams by the client's home shard. Routing in
-	// a shard-local scheme is always the home gateway, so a record's
-	// entire effect lands on that shard. Trace order within a shard is
-	// time order.
-	// The orders start empty but non-nil: nil is the serial sentinel for
-	// "consume the whole stream", and a shard that happens to receive no
-	// records (quiet trace windows) must consume none, not all.
-	tr := s.cfg.Trace
 	for i := range s.shards {
-		s.shards[i].flowOrder = []int32{}
-		s.shards[i].keepOrder = []int32{}
+		sh := &s.shards[i]
+		sh.lo, sh.hi = i*nGW/n, (i+1)*nGW/n
+		sh.bits = make([]uint64, (sh.hi-sh.lo+63)/64)
+		if allAwake {
+			for l := 0; l < sh.hi-sh.lo; l++ {
+				sh.bits[l>>6] |= 1 << (uint(l) & 63)
+			}
+		}
 	}
-	for i, f := range tr.Flows {
-		sh := &s.shards[s.gwShard[s.clients[f.Client].home]]
-		sh.flowOrder = append(sh.flowOrder, int32(i))
-	}
-	for i, k := range tr.Keepalives {
-		sh := &s.shards[s.gwShard[s.clients[k.Client].home]]
-		sh.keepOrder = append(sh.keepOrder, int32(i))
-	}
-	s.sinkIdx = make([]int, n)
-	s.pool = newShardPool(s)
-}
-
-func seedBits(sh *shard) {
-	for g := sh.lo; g < sh.hi; g++ {
-		sh.bits[(g-sh.lo)>>6] |= 1 << (uint(g-sh.lo) & 63)
+	s.main = &s.shards[0]
+	if n > 1 {
+		// The coordinator lane owns no gateways and consumes no trace
+		// records; it carries only the globally-ordered events (ticks and
+		// failure events).
+		s.main = &s.co
+		s.sinkIdx = make([]int, n)
+		s.pool = newShardPool(s)
 	}
 }
 
@@ -149,7 +115,7 @@ func (s *sim) shardedStep() bool {
 // drainSinks replays the shards' deferred switch-fabric ops in global time
 // order: a k-way merge over the per-shard queues by head-op time (each
 // queue is already time-ordered — ops are stamped with the generating
-// event's time), ties broken by shard id. Each op updates every fabric's
+// event's time), ties broken by lane order. Each op updates every fabric's
 // policy and reconciles its line cards exactly as the serial engine does
 // inline, so policy state and card energy integration are bit-identical.
 func (s *sim) drainSinks() {
@@ -181,23 +147,15 @@ func (s *sim) drainSinks() {
 	}
 }
 
-// lineWake fires the ISP-side effects of a line going active: immediately
-// on single-lane runs, deferred to the next barrier on shard lanes.
-func (s *sim) lineWake(sh *shard, gw int, t float64) {
-	if sh.deferSinks {
-		sh.sinks = append(sh.sinks, sinkOp{t: t, gw: int32(gw), wake: true})
+// lineOp fires the ISP-side effects of gateway gw's line going active
+// (wake) or idle at t. The main lane applies them inline; a shard lane
+// queues them for the next barrier's replay (drainSinks).
+func (s *sim) lineOp(sh *shard, gw int, wake bool, t float64) {
+	if sh != s.main {
+		sh.sinks = append(sh.sinks, sinkOp{t: t, gw: int32(gw), wake: wake})
 		return
 	}
-	s.applyLineOp(gw, true, t)
-}
-
-// lineSleep is the inactive counterpart of lineWake.
-func (s *sim) lineSleep(sh *shard, gw int, t float64) {
-	if sh.deferSinks {
-		sh.sinks = append(sh.sinks, sinkOp{t: t, gw: int32(gw), wake: false})
-		return
-	}
-	s.applyLineOp(gw, false, t)
+	s.applyLineOp(gw, wake, t)
 }
 
 // applyLineOp applies one gateway's line wake/sleep to every switch

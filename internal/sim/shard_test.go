@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"insomnia/internal/dsl"
@@ -97,10 +98,36 @@ func TestShardedCity(t *testing.T) {
 	})
 }
 
+// TestShardedRunAllocatesLikeSerial pins that shard lanes read the shared
+// trace instead of keeping their own index of it: one sharded run
+// allocates within a few percent of the serial run at every shard count.
+func TestShardedRunAllocatesLikeSerial(t *testing.T) {
+	tr, tp, shelf := cityScenario(t, 5)
+	cfg := Config{Trace: tr, Topo: tp, Scheme: SoI, Seed: 5, DSLAM: shelf, K: 4}
+	alloc := func(shards int) float64 {
+		cfg.Shards = shards
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	serial := alloc(0)
+	for _, n := range []int{2, 4, 8} {
+		if got := alloc(n); got > 1.08*serial {
+			t.Errorf("shards=%d allocates %.0f bytes, %.3f× the serial run's %.0f", n, got, got/serial, serial)
+		}
+	}
+}
+
 // TestLaneLayout pins which runs take the sharded engine: at Shards 4 only
 // the shard-local schemes (no-sleep and the SoI family) build four lanes
 // and a worker pool. BH², the coordinated schemes and SoI under RandomWake
-// build the single serial lane and no pool.
+// build the single serial lane and no pool. Either way the lanes tile the
+// gateways in order, laneOf finds each gateway's lane, and the main lane is
+// the serial lane or the coordinator.
 func TestLaneLayout(t *testing.T) {
 	tr, tp := smallScenario(t, 9)
 	for _, tc := range []struct {
@@ -131,6 +158,24 @@ func TestLaneLayout(t *testing.T) {
 		if len(s.shards) != tc.lanes || (s.pool != nil) != wantPool {
 			t.Errorf("%v randomwake=%v: %d lanes, pool %v; want %d lanes, pool %v",
 				tc.scheme, tc.randomWake, len(s.shards), s.pool != nil, tc.lanes, wantPool)
+		}
+		next := 0
+		for i, sh := range s.shards {
+			if sh.lo != next || sh.hi < sh.lo {
+				t.Errorf("%v: lane %d covers [%d, %d), want it to start at %d", tc.scheme, i, sh.lo, sh.hi, next)
+			}
+			next = sh.hi
+		}
+		if next != len(s.gws) {
+			t.Errorf("%v: lanes end at gateway %d of %d", tc.scheme, next, len(s.gws))
+		}
+		for g := range s.gws {
+			if sh := s.laneOf(g); !sh.owns(g) {
+				t.Errorf("%v: laneOf(%d) = [%d, %d)", tc.scheme, g, sh.lo, sh.hi)
+			}
+		}
+		if (s.main == &s.shards[0]) != (tc.lanes == 1) {
+			t.Errorf("%v: main lane is shards[0]: %v, with %d lanes", tc.scheme, s.main == &s.shards[0], tc.lanes)
 		}
 	}
 }

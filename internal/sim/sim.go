@@ -103,8 +103,7 @@ type Config struct {
 	// RandomWake draws each wake-up duration from the measured
 	// distribution (mean 60 s, resyncs up to 3 min — §5.1) instead of the
 	// constant dsl.WakeSeconds. Used by the wake-time sensitivity ablation.
-	RandomWake   bool
-	OptimalEvery float64 // Optimal resolve period (default 60 s)
+	RandomWake bool
 
 	// Seed drives the port wiring, the reboot draws and every scheme RNG
 	// stream.
@@ -252,9 +251,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = dsl.IdleTimeoutSeconds
-	}
-	if c.OptimalEvery == 0 {
-		c.OptimalEvery = 60
 	}
 	if c.Shards < 0 {
 		return c, fmt.Errorf("sim: negative shard count %d", c.Shards)

@@ -97,18 +97,17 @@ type sinkOp struct {
 	wake bool
 }
 
-// shard is one lane of the event engine: a contiguous range of gateways
-// [lo, hi) together with everything needed to advance them independently —
-// a private event heap and sequence counter, private cursors into the trace
-// streams, the awake bitset for its gateways and the deferred sink queue.
+// shard is one lane of the event engine: the gateways [lo, hi) together
+// with everything needed to advance them independently — a private event
+// heap and sequence counter, its own cursors into the shared trace streams,
+// the awake bitset for its gateways and the deferred sink queue.
 //
-// The serial engine is the one-shard special case: a single lane covering
-// every gateway and every trace record (flowOrder/keepOrder nil), with sink
-// ops applied inline (deferSinks false). The sharded engine (shard.go) runs
-// S lanes plus a coordinator lane that carries only the globally-ordered
-// events (ticks, failure events).
+// The serial engine is the one-lane special case: a single lane covering
+// every gateway, so it skips no trace record, and as the main lane it
+// applies sink ops inline. The sharded engine (shard.go) runs S lanes plus
+// a coordinator lane that owns no gateways and carries only the
+// globally-ordered events (ticks, failure events).
 type shard struct {
-	id     int
 	lo, hi int // gateway id range [lo, hi)
 
 	now float64
@@ -122,11 +121,10 @@ type shard struct {
 	// for time K is pushed while handling the tick for K-1).
 	fenceSeq int64
 
-	// Trace cursors. When flowOrder/keepOrder are nil the lane consumes
-	// trace records directly (serial); otherwise they index the records
-	// whose client homes on this shard, in trace (= time) order.
-	flowIdx, keepIdx     int
-	flowOrder, keepOrder []int32
+	// Trace cursors: the next Trace.Flows / Trace.Keepalives record the
+	// lane has not consumed or skipped. stepLane skips the records of
+	// clients homed outside [lo, hi).
+	flowIdx, keepIdx int
 
 	// Active-gateway set over [lo, hi): bit g-lo set while gateway g is
 	// outside Sleeping (as far as the event machinery knows). tick()
@@ -134,14 +132,16 @@ type shard struct {
 	// devices integrate in closed form.
 	bits []uint64
 
-	deferSinks bool
-	sinks      []sinkOp
+	sinks []sinkOp
 
 	// strandedN counts clients currently stranded on this lane's gateways
 	// (failure runs only). Kept per lane so lanes never write a shared
 	// counter; tick sums the lanes at the barrier.
 	strandedN int
 }
+
+// owns reports whether gateway g lies in the lane's range.
+func (sh *shard) owns(g int) bool { return sh.lo <= g && g < sh.hi }
 
 // push assigns the lane's next sequence number and queues the event.
 func (sh *shard) push(e event) {
@@ -181,7 +181,6 @@ type sim struct {
 	shards  []shard
 	co      shard
 	main    *shard
-	gwShard []int32    // gateway -> owning shard index; nil when single-lane
 	pool    *shardPool // shard workers; nil when single-lane
 	sinkIdx []int      // drainSinks merge cursors (reused across epochs)
 

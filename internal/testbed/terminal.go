@@ -57,6 +57,9 @@ func (c *Client) WakeHome(gw int) error {
 		return err
 	}
 	resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return fmt.Errorf("testbed: wake status %d", resp.StatusCode)
+	}
 	return nil
 }
 
@@ -95,8 +98,11 @@ func NewTerminal(id, home int, inRange []int, useBH2 bool, p bh2.Params, backhau
 	return t
 }
 
-// Tick runs one virtual second: observe, deliver due traffic, decide.
+// Tick runs one virtual second: observe, decide, deliver the backlog. The
+// bytes due this second join the backlog first, so a transport error
+// delays them to a later second instead of dropping them.
 func (t *Terminal) Tick(now float64, bytesDue int64) error {
+	t.pending += bytesDue
 	views := make([]bh2.GatewayView, 0, len(t.InRange))
 	for _, gw := range t.InRange {
 		obs, err := t.client.Observe(gw)
@@ -123,11 +129,13 @@ func (t *Terminal) Tick(now float64, bytesDue int64) error {
 	}
 
 	if t.UseBH2 && now >= t.nextDecision {
-		t.apply(bh2.Decide(t.rng, t.Params, t.Home, t.assigned, views))
+		err := t.apply(bh2.Decide(t.rng, t.Params, t.Home, t.assigned, views))
 		t.nextDecision = bh2.NextDecisionTime(t.rng, t.Params, now)
+		if err != nil {
+			return err
+		}
 	}
 
-	t.pending += bytesDue
 	if t.pending > 0 {
 		target := t.assigned
 		if !t.UseBH2 {
@@ -142,7 +150,9 @@ func (t *Terminal) Tick(now float64, bytesDue int64) error {
 		if !awake {
 			if t.UseBH2 {
 				// Immediate re-decision: hitch elsewhere or wake home.
-				t.apply(bh2.Decide(t.rng, t.Params, t.Home, t.assigned, views))
+				if err := t.apply(bh2.Decide(t.rng, t.Params, t.Home, t.assigned, views)); err != nil {
+					return err
+				}
 				target = t.assigned
 			}
 			if target == t.Home {
@@ -162,7 +172,9 @@ func (t *Terminal) Tick(now float64, bytesDue int64) error {
 	return nil
 }
 
-func (t *Terminal) apply(d bh2.Decision) {
+// apply carries out decision d. It returns the error of the home wake a
+// ReturnHome sends under WakeUpHome, so the run counts a failed wake.
+func (t *Terminal) apply(d bh2.Decision) error {
 	switch d.Action {
 	case bh2.Move:
 		if t.assigned != d.Target {
@@ -175,7 +187,8 @@ func (t *Terminal) apply(d bh2.Decision) {
 			t.Moves++
 		}
 		if t.Params.WakeUpHome {
-			_ = t.client.WakeHome(t.Home)
+			return t.client.WakeHome(t.Home)
 		}
 	}
+	return nil
 }

@@ -1,9 +1,14 @@
 package testbed
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
+	"insomnia/internal/bh2"
+	"insomnia/internal/power"
 	"insomnia/internal/wifi"
 )
 
@@ -151,6 +156,39 @@ func TestHTTPEndpoints(t *testing.T) {
 	// Bad params rejected.
 	if _, err := c.Observe(99); err == nil {
 		t.Error("expected error for bad gateway id")
+	}
+}
+
+// TestTickReportsFailedWake pins that a failed home wake is a transport
+// error: a BH² terminal riding a remote that has gone to sleep decides
+// ReturnHome (RemoteVanished) and, under WakeUpHome, wakes its home; when
+// the server refuses the wake, Tick reports it, so Run counts it, and the
+// second's bytes stay in the backlog.
+func TestTickReportsFailedWake(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /observe", func(w http.ResponseWriter, r *http.Request) {
+		gw, _ := strconv.Atoi(r.URL.Query().Get("gw"))
+		writeJSON(w, Observation{GW: gw, State: power.Sleeping.String()})
+	})
+	mux.HandleFunc("POST /wake", func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "wake failed", http.StatusInternalServerError)
+	})
+	mux.HandleFunc("POST /traffic", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, map[string]bool{"delivered": false})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	term := NewTerminal(0, 0, []int{0, 1, 2}, true, bh2.DefaultParams(), 6e6, srv.URL, 1)
+	term.assigned = 1 // riding remote gateway 1
+	if err := term.Tick(term.nextDecision, 1500); err == nil {
+		t.Fatal("Tick returned nil after the server refused the home wake")
+	}
+	if term.assigned != term.Home {
+		t.Fatalf("terminal rides gateway %d after ReturnHome, want home %d", term.assigned, term.Home)
+	}
+	if term.pending != 1500 {
+		t.Fatalf("backlog after the failed tick = %d bytes, want 1500", term.pending)
 	}
 }
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -48,6 +49,8 @@ func TestReadFlowsCSVRejectsBadInput(t *testing.T) {
 		"start,client,bytes,rate,up\n1,0,-10,0,false\n",    // negative bytes
 		"start,client,bytes,rate,up\n1,0,10,-5,false\n",    // negative rate
 		"start,client,bytes,rate,up\n999999,0,1,0,false\n", // beyond duration
+		"start,client,bytes,rate,up\nNaN,0,1,0,false\n",    // NaN start
+		"start,client,bytes,rate,up\n1,0,1,NaN,false\n",    // NaN rate
 	}
 	for i, in := range cases {
 		if _, err := ReadFlowsCSV(strings.NewReader(in), cfg, clientAP); err == nil {
@@ -68,17 +71,29 @@ func TestReadFlowsCSVSortsByStart(t *testing.T) {
 }
 
 // FuzzReadFlowsCSV hardens the CSV reader against corrupt input: it must
-// error or return a valid trace, never panic.
+// error or return flows the engine can replay, never panic. The engine's
+// input contract is checked directly rather than through Validate, which
+// the reader has already run: every start a finite time in [0, Duration]
+// (in order), every rate finite and non-negative.
 func FuzzReadFlowsCSV(f *testing.F) {
 	f.Add("start,client,bytes,rate,up\n1,0,10,0,false\n")
 	f.Add("start,client,bytes,rate,up\n")
 	f.Add("garbage")
+	f.Add("start,client,bytes,rate,up\n5,1,10000,0,false\n10,0,20000,0,false\nNaN,0,10,0,false\n")
 	f.Fuzz(func(t *testing.T, data string) {
 		got, err := ReadFlowsCSV(strings.NewReader(data), Config{Clients: 4, APs: 2}, []int{0, 1, 0, 1})
-		if err == nil {
-			if vErr := got.Validate(); vErr != nil {
-				t.Fatalf("CSV decoder returned invalid trace: %v", vErr)
+		if err != nil {
+			return
+		}
+		prev := 0.0
+		for i, fl := range got.Flows {
+			if !(fl.Start >= prev && fl.Start <= got.Cfg.Duration) {
+				t.Fatalf("flow %d starts at %v, want a time in [%v, %v]", i, fl.Start, prev, got.Cfg.Duration)
 			}
+			if !(fl.Rate >= 0) || math.IsInf(fl.Rate, 1) {
+				t.Fatalf("flow %d has rate %v, want finite and >= 0", i, fl.Rate)
+			}
+			prev = fl.Start
 		}
 	})
 }

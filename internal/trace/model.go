@@ -21,6 +21,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -66,8 +67,9 @@ func byStart(a, b Flow) int  { return cmp.Compare(a.Start, b.Start) }
 func byTime(a, b Packet) int { return cmp.Compare(a.T, b.T) }
 
 // Validate checks internal invariants: sortedness, index ranges, positive
-// sizes. The generator always produces valid traces; Validate guards
-// deserialized input.
+// sizes, record times within [0, Duration] and finite non-negative rates.
+// The generator always produces valid traces; Validate guards deserialized
+// input.
 func (tr *Trace) Validate() error {
 	if len(tr.ClientAP) != tr.Cfg.Clients {
 		return fmt.Errorf("trace: ClientAP has %d entries, want %d", len(tr.ClientAP), tr.Cfg.Clients)
@@ -87,13 +89,13 @@ func (tr *Trace) Validate() error {
 		if f.Bytes <= 0 {
 			return fmt.Errorf("trace: flow %d has non-positive size %d", i, f.Bytes)
 		}
-		if f.Rate < 0 {
-			return fmt.Errorf("trace: flow %d has negative rate %v", i, f.Rate)
+		if f.Rate < 0 || math.IsNaN(f.Rate) || math.IsInf(f.Rate, 1) {
+			return fmt.Errorf("trace: flow %d has invalid rate %v (want finite, >= 0)", i, f.Rate)
 		}
 		if int(f.Client) < 0 || int(f.Client) >= tr.Cfg.Clients {
 			return fmt.Errorf("trace: flow %d has invalid client %d", i, f.Client)
 		}
-		if f.Start < 0 || f.Start > tr.Cfg.Duration {
+		if !tr.inSpan(f.Start) {
 			return fmt.Errorf("trace: flow %d outside trace duration: %v", i, f.Start)
 		}
 	}
@@ -101,9 +103,17 @@ func (tr *Trace) Validate() error {
 		if int(p.Client) < 0 || int(p.Client) >= tr.Cfg.Clients {
 			return fmt.Errorf("trace: keepalive %d has invalid client %d", i, p.Client)
 		}
+		if !tr.inSpan(p.T) {
+			return fmt.Errorf("trace: keepalive %d outside trace duration: %v", i, p.T)
+		}
 	}
 	return nil
 }
+
+// inSpan reports whether t lies in [0, Duration]. NaN lies nowhere: the
+// engine's merge never admits a NaN time, so one such record would stall
+// its stream and silently drop every record behind it.
+func (tr *Trace) inSpan(t float64) bool { return t >= 0 && t <= tr.Cfg.Duration }
 
 // TotalBytes returns the sum of flow bytes in the given direction.
 func (tr *Trace) TotalBytes(up bool) int64 {

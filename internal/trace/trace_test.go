@@ -407,11 +407,20 @@ func TestValidateCatchesCorruption(t *testing.T) {
 				c.Flows[0].Start = c.Flows[len(c.Flows)-1].Start + 1e6
 			}
 		},
+		// Keepalive times outside [0, Duration], placed where the time
+		// order still holds so only the range check can catch them.
+		func(c *Trace) { c.Keepalives[0].T = math.NaN() },
+		func(c *Trace) { c.Keepalives[0].T = -1 },
+		func(c *Trace) { c.Keepalives[len(c.Keepalives)-1].T = c.Cfg.Duration + 1 },
+	}
+	if len(tr.Keepalives) == 0 {
+		t.Fatal("fixture trace has no keepalives")
 	}
 	for i, corrupt := range cases {
 		cp := *tr
 		cp.ClientAP = slices.Clone(tr.ClientAP)
 		cp.Flows = slices.Clone(tr.Flows)
+		cp.Keepalives = slices.Clone(tr.Keepalives)
 		corrupt(&cp)
 		if err := cp.Validate(); err == nil {
 			t.Errorf("case %d: corruption not detected", i)
