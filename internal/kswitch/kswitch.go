@@ -15,8 +15,11 @@
 //   - KSwitch: remaps a line only when its gateway wakes (the paper's rule
 //     to avoid disrupting active flows), packing active lines toward the
 //     highest-numbered card of each group.
-//   - FullSwitch: the idealized Optimal — any line to any port, repacked on
-//     demand with zero disruption.
+//   - FullSwitch: the idealized Optimal — any line to any port, repacked
+//     with zero disruption. It keeps only the active-line count: a card's
+//     power state depends on whether any active line terminates on it,
+//     not on which one, so after an ideal repack the count alone says
+//     which cards are awake.
 package kswitch
 
 import (
@@ -26,46 +29,24 @@ import (
 	"insomnia/internal/dsl"
 )
 
-// Policy decides which DSLAM port terminates each line as lines wake and
-// sleep. Implementations must keep the mapping injective over active lines.
+// Policy tracks which line cards must be awake as lines wake and sleep.
 type Policy interface {
-	// PortOf returns the port currently terminating the line.
-	PortOf(line int) int
 	// OnWake is called when the line's gateway starts carrying traffic
 	// again; the policy may remap the line (this is the only moment the
 	// paper allows k-switches to act).
 	OnWake(line int)
 	// OnSleep is called when the line's gateway goes to sleep.
 	OnSleep(line int)
-	// Repack optimizes the whole mapping; only FullSwitch implements a
-	// non-trivial version.
-	Repack()
-	// ActiveLines returns the current number of active lines.
-	ActiveLines() int
-	// CardsAwake returns, per card, whether any active line terminates on
-	// it (an awake card burns power.LineCardWatts).
-	CardsAwake() []bool
-	// CardsAwakeInto is CardsAwake writing into buf (reused when cap
-	// suffices) so per-sample callers allocate nothing.
-	CardsAwakeInto(buf []bool) []bool
-	// AwakeCardCount returns the number of awake cards in O(1); the count
-	// is maintained incrementally as lines activate, deactivate and move.
+	// CardAwake reports whether any active line terminates on card cd (an
+	// awake card burns power.LineCardWatts).
+	CardAwake(cd int) bool
+	// AwakeCardCount returns the number of awake cards in O(1).
 	AwakeCardCount() int
 }
 
-// AwakeCount counts true entries — the number of line cards burning power.
-func AwakeCount(cards []bool) int {
-	n := 0
-	for _, c := range cards {
-		if c {
-			n++
-		}
-	}
-	return n
-}
-
-// base holds the shared bookkeeping of all policies. Card occupancy is
-// tracked incrementally — every mutation of line activity or position goes
+// base holds the port-level bookkeeping of the policies that wire each
+// line to one port (Fixed, KSwitch). Card occupancy is tracked
+// incrementally — every mutation of line activity or position goes
 // through setActive/move — so per-sample queries (AwakeCardCount) are O(1)
 // instead of rescanning all lines.
 type base struct {
@@ -73,7 +54,6 @@ type base struct {
 	portOf     []int // line -> port
 	lineAt     []int // port -> line, -1 when unwired
 	active     []bool
-	activeN    int   // number of active lines
 	cardActive []int // per card: active lines terminating on it
 	awakeCards int   // cards with cardActive > 0
 }
@@ -104,22 +84,7 @@ func newBase(d dsl.DSLAM, initialPort []int) (*base, error) {
 	return b, nil
 }
 
-func (b *base) PortOf(line int) int { return b.portOf[line] }
-
-func (b *base) ActiveLines() int { return b.activeN }
-
-func (b *base) CardsAwake() []bool { return b.CardsAwakeInto(nil) }
-
-func (b *base) CardsAwakeInto(buf []bool) []bool {
-	if cap(buf) < b.d.Cards {
-		buf = make([]bool, b.d.Cards)
-	}
-	buf = buf[:b.d.Cards]
-	for cd, n := range b.cardActive {
-		buf[cd] = n > 0
-	}
-	return buf
-}
+func (b *base) CardAwake(cd int) bool { return b.cardActive[cd] > 0 }
 
 func (b *base) AwakeCardCount() int { return b.awakeCards }
 
@@ -131,13 +96,11 @@ func (b *base) setActive(line int, v bool) {
 	b.active[line] = v
 	cd := b.d.CardOf(b.portOf[line])
 	if v {
-		b.activeN++
 		b.cardActive[cd]++
 		if b.cardActive[cd] == 1 {
 			b.awakeCards++
 		}
 	} else {
-		b.activeN--
 		b.cardActive[cd]--
 		if b.cardActive[cd] == 0 {
 			b.awakeCards--
@@ -196,9 +159,6 @@ func (f *Fixed) OnWake(line int) { f.setActive(line, true) }
 // OnSleep marks the line inactive.
 func (f *Fixed) OnSleep(line int) { f.setActive(line, false) }
 
-// Repack is a no-op.
-func (f *Fixed) Repack() {}
-
 // KSwitch implements the paper's k-switch policy. The switch group of a
 // line is determined by its slot: all ports at slot s across the k cards of
 // a group belong to switch s.
@@ -220,9 +180,6 @@ func NewKSwitch(d dsl.DSLAM, k int, initialPort []int) (*KSwitch, error) {
 	}
 	return &KSwitch{base: b, groupCards: k}, nil
 }
-
-// K returns the switch size.
-func (s *KSwitch) K() int { return s.groupCards }
 
 // OnWake remaps the waking line within its switch so active lines pack
 // toward the highest-numbered card of the group: prefer a port on a card
@@ -261,61 +218,55 @@ func (s *KSwitch) OnWake(line int) {
 // wake time only).
 func (s *KSwitch) OnSleep(line int) { s.setActive(line, false) }
 
-// Repack is a no-op for k-switches: the paper restricts remapping to wake
-// instants.
-func (s *KSwitch) Repack() {}
-
 // FullSwitch can terminate any line on any port and repack all active
 // lines onto a minimal prefix of cards with zero disruption — the paper's
-// idealized Optimal upper bound.
-type FullSwitch struct{ *base }
+// idealized Optimal upper bound (§4.1). After every wake or sleep the
+// active lines fill ports [0, activeN), so card cd is awake iff
+// cd < ⌈activeN/PortsPerCard⌉. Which line sits on which port changes no
+// card's power state, so FullSwitch keeps only which lines are active and
+// how many; internal/oracle restates the port-by-port repack and checks
+// the card states against it.
+type FullSwitch struct {
+	portsPerCard int
+	active       []bool
+	activeN      int
+}
 
-// NewFullSwitch builds the idealized policy.
-func NewFullSwitch(d dsl.DSLAM, initialPort []int) (*FullSwitch, error) {
-	b, err := newBase(d, initialPort)
-	if err != nil {
+// NewFullSwitch builds the idealized policy for a shelf d terminating the
+// given number of lines, which must not exceed d's ports.
+func NewFullSwitch(d dsl.DSLAM, lines int) (*FullSwitch, error) {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	return &FullSwitch{b}, nil
+	if lines > d.Ports() {
+		return nil, fmt.Errorf("kswitch: %d lines on a shelf of %d ports", lines, d.Ports())
+	}
+	return &FullSwitch{portsPerCard: d.PortsPerCard, active: make([]bool, lines)}, nil
 }
 
-// OnWake marks active and packs immediately.
+// OnWake marks the line active.
 func (f *FullSwitch) OnWake(line int) {
-	f.setActive(line, true)
-	f.Repack()
+	if !f.active[line] {
+		f.active[line] = true
+		f.activeN++
+	}
 }
 
-// OnSleep marks inactive and packs immediately.
+// OnSleep marks the line inactive.
 func (f *FullSwitch) OnSleep(line int) {
-	f.setActive(line, false)
-	f.Repack()
+	if f.active[line] {
+		f.active[line] = false
+		f.activeN--
+	}
 }
 
-// Repack moves every active line onto the lowest-numbered ports, occupying
-// exactly ceil(active/portsPerCard) cards. Active lines already inside the
-// target range stay put; only the rest move, displacing inactive lines.
-func (f *FullSwitch) Repack() {
-	var movers []int
-	n := f.activeN
-	taken := make([]bool, n)
-	for line := range f.portOf {
-		if !f.active[line] {
-			continue
-		}
-		if p := f.portOf[line]; p < n {
-			taken[p] = true
-		} else {
-			movers = append(movers, line)
-		}
-	}
-	next := 0
-	for _, line := range movers {
-		for taken[next] {
-			next++
-		}
-		f.move(line, next)
-		taken[next] = true
-	}
+// CardAwake reports whether card cd is among the ⌈activeN/PortsPerCard⌉
+// lowest-numbered cards the packed active lines occupy.
+func (f *FullSwitch) CardAwake(cd int) bool { return cd < f.AwakeCardCount() }
+
+// AwakeCardCount returns ⌈activeN/PortsPerCard⌉.
+func (f *FullSwitch) AwakeCardCount() int {
+	return (f.activeN + f.portsPerCard - 1) / f.portsPerCard
 }
 
 // SimulateSleepProbability estimates, by Monte Carlo, the probability that

@@ -18,6 +18,26 @@ func seqPorts(n int) []int {
 	return p
 }
 
+// awakeCards lists each card's CardAwake.
+func awakeCards(p Policy, cards int) []bool {
+	out := make([]bool, cards)
+	for cd := range out {
+		out[cd] = p.CardAwake(cd)
+	}
+	return out
+}
+
+// countTrue counts true entries: awake cards or active lines.
+func countTrue(v []bool) int {
+	n := 0
+	for _, b := range v {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 func TestFixedPolicy(t *testing.T) {
 	d := dsl.EvalDSLAM
 	f, err := NewFixed(d, seqPorts(48))
@@ -26,26 +46,22 @@ func TestFixedPolicy(t *testing.T) {
 	}
 	f.OnWake(0)
 	f.OnWake(13) // card 1
-	if f.PortOf(0) != 0 || f.PortOf(13) != 13 {
+	if f.portOf[0] != 0 || f.portOf[13] != 13 {
 		t.Error("fixed policy moved a line")
 	}
-	cards := f.CardsAwake()
+	cards := awakeCards(f, d.Cards)
 	if !cards[0] || !cards[1] || cards[2] || cards[3] {
 		t.Errorf("cards awake = %v", cards)
 	}
-	if AwakeCount(cards) != 2 {
-		t.Errorf("awake count = %d", AwakeCount(cards))
+	if f.AwakeCardCount() != 2 {
+		t.Errorf("awake count = %d", f.AwakeCardCount())
 	}
 	f.OnSleep(0)
-	if AwakeCount(f.CardsAwake()) != 1 {
+	if countTrue(awakeCards(f, d.Cards)) != 1 || f.AwakeCardCount() != 1 {
 		t.Error("sleep not registered")
 	}
-	if f.ActiveLines() != 1 {
-		t.Errorf("active lines = %d", f.ActiveLines())
-	}
-	f.Repack() // no-op
-	if f.PortOf(13) != 13 {
-		t.Error("repack moved a line under Fixed")
+	if n := countTrue(f.active); n != 1 {
+		t.Errorf("active lines = %d", n)
 	}
 }
 
@@ -60,6 +76,15 @@ func TestNewBaseRejectsBadWiring(t *testing.T) {
 	if _, err := NewFixed(dsl.DSLAM{Cards: 0, PortsPerCard: 3}, nil); err == nil {
 		t.Error("invalid DSLAM accepted")
 	}
+	if _, err := NewFullSwitch(dsl.DSLAM{Cards: 0, PortsPerCard: 3}, 0); err == nil {
+		t.Error("full switch accepted an invalid DSLAM")
+	}
+	if _, err := NewFullSwitch(d, d.Ports()+1); err == nil {
+		t.Error("full switch accepted more lines than ports")
+	}
+	if _, err := NewFullSwitch(d, d.Ports()); err != nil {
+		t.Errorf("full switch rejected a full shelf: %v", err)
+	}
 }
 
 func TestKSwitchPacksActiveLines(t *testing.T) {
@@ -69,20 +94,20 @@ func TestKSwitchPacksActiveLines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.K() != 4 {
-		t.Fatalf("K = %d", s.K())
+	if s.groupCards != 4 {
+		t.Fatalf("K = %d", s.groupCards)
 	}
 	// Wake 12 lines on 12 distinct switches (slots 0..11 of card 0).
 	for line := 0; line < 12; line++ {
 		s.OnWake(line)
 	}
 	// All 12 should pack onto one card.
-	if got := AwakeCount(s.CardsAwake()); got != 1 {
+	if got := countTrue(awakeCards(s, d.Cards)); got != 1 {
 		t.Fatalf("awake cards = %d, want 1", got)
 	}
 	// Packing direction: the highest-numbered card of the group.
 	for line := 0; line < 12; line++ {
-		if c := d.CardOf(s.PortOf(line)); c != 3 {
+		if c := d.CardOf(s.portOf[line]); c != 3 {
 			t.Fatalf("line %d on card %d, want 3", line, c)
 		}
 	}
@@ -90,7 +115,7 @@ func TestKSwitchPacksActiveLines(t *testing.T) {
 	for line := 12; line < 24; line++ {
 		s.OnWake(line)
 	}
-	if got := AwakeCount(s.CardsAwake()); got != 2 {
+	if got := countTrue(awakeCards(s, d.Cards)); got != 2 {
 		t.Fatalf("awake cards = %d, want 2", got)
 	}
 }
@@ -102,15 +127,11 @@ func TestKSwitchOnlyRemapsAtWake(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.OnWake(0)
-	p := s.PortOf(0)
+	p := s.portOf[0]
 	s.OnWake(12) // same switch (slot 0), packs next to it
 	s.OnSleep(0)
-	if s.PortOf(0) != p {
+	if s.portOf[0] != p {
 		t.Error("OnSleep moved a line")
-	}
-	s.Repack()
-	if s.PortOf(0) != p {
-		t.Error("Repack moved a line under KSwitch")
 	}
 }
 
@@ -121,14 +142,14 @@ func TestKSwitchNeverDisplacesActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.OnWake(0) // moves to card 1 (port 1), displacing sleeping line 1 to port 0
-	if s.PortOf(0) != 1 || s.PortOf(1) != 0 {
-		t.Fatalf("ports: line0=%d line1=%d", s.PortOf(0), s.PortOf(1))
+	if s.portOf[0] != 1 || s.portOf[1] != 0 {
+		t.Fatalf("ports: line0=%d line1=%d", s.portOf[0], s.portOf[1])
 	}
 	s.OnWake(1) // must stay at port 0; port 1 is active
-	if s.PortOf(1) != 0 {
-		t.Fatalf("active line displaced: line1 at %d", s.PortOf(1))
+	if s.portOf[1] != 0 {
+		t.Fatalf("active line displaced: line1 at %d", s.portOf[1])
 	}
-	if AwakeCount(s.CardsAwake()) != 2 {
+	if countTrue(awakeCards(s, d.Cards)) != 2 {
 		t.Error("both cards should be awake")
 	}
 }
@@ -151,19 +172,19 @@ func TestKSwitchMultipleGroups(t *testing.T) {
 	}
 	// Line 0 is on card 0 (group 0); after wake it must stay within cards 0-3.
 	s.OnWake(0)
-	if c := d.CardOf(s.PortOf(0)); c > 3 {
+	if c := d.CardOf(s.portOf[0]); c > 3 {
 		t.Errorf("line 0 escaped its group: card %d", c)
 	}
 	// Line 31 is on card 7 (group 1): stays within cards 4-7.
 	s.OnWake(31)
-	if c := d.CardOf(s.PortOf(31)); c < 4 {
+	if c := d.CardOf(s.portOf[31]); c < 4 {
 		t.Errorf("line 31 escaped its group: card %d", c)
 	}
 }
 
 func TestFullSwitchPacksMinimally(t *testing.T) {
 	d := dsl.EvalDSLAM
-	f, err := NewFullSwitch(d, seqPorts(48))
+	f, err := NewFullSwitch(d, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,58 +192,135 @@ func TestFullSwitchPacksMinimally(t *testing.T) {
 	for _, line := range []int{0, 3, 7, 13, 18, 22, 25, 29, 33, 37, 41, 45, 47} {
 		f.OnWake(line)
 	}
-	if got := AwakeCount(f.CardsAwake()); got != 2 {
+	if got := countTrue(awakeCards(f, d.Cards)); got != 2 {
 		t.Fatalf("awake cards = %d, want 2", got)
 	}
 	// Sleep one: 12 active -> 1 card.
 	f.OnSleep(47)
-	if got := AwakeCount(f.CardsAwake()); got != 1 {
+	if got := countTrue(awakeCards(f, d.Cards)); got != 1 {
 		t.Fatalf("awake cards = %d, want 1", got)
 	}
 }
 
-// Property: under any wake/sleep sequence, every policy keeps the
-// line<->port mapping a bijection and awake cards exactly match cards with
-// active lines; KSwitch keeps lines within their switch's slot.
-func TestPolicyInvariantsProperty(t *testing.T) {
+// One line wake/sleep pair allocates nothing under any policy: the engine
+// applies one per gateway transition per fabric.
+func TestPolicyLineOpsDoNotAllocate(t *testing.T) {
 	d := dsl.EvalDSLAM
-	initial := seqPorts(48)
-	f := func(ops []uint16) bool {
-		fixed, _ := NewFixed(d, initial)
-		ks, _ := NewKSwitch(d, 4, initial)
-		full, _ := NewFullSwitch(d, initial)
-		for _, op := range ops {
-			line := int(op) % 48
-			wake := op&0x8000 == 0
-			for _, pol := range []Policy{fixed, ks, full} {
-				if wake {
-					pol.OnWake(line)
-				} else {
-					pol.OnSleep(line)
-				}
-			}
+	fixed, err := NewFixed(d, seqPorts(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := NewKSwitch(d, 4, seqPorts(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := NewFullSwitch(d, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pol := range []Policy{fixed, ks, full} {
+		for line := 0; line < 48; line += 3 {
+			pol.OnWake(line)
 		}
-		for _, pol := range []Policy{fixed, ks, full} {
-			seen := map[int]bool{}
-			for line := 0; line < 48; line++ {
-				p := pol.PortOf(line)
-				if p < 0 || p >= 48 || seen[p] {
+		if allocs := testing.AllocsPerRun(100, func() {
+			pol.OnWake(1)
+			pol.OnSleep(1)
+		}); allocs != 0 {
+			t.Errorf("%T: %v allocs per wake+sleep, want 0", pol, allocs)
+		}
+	}
+}
+
+// Property: under any wake/sleep sequence, checked after every operation
+// against the test's own active set: Fixed and KSwitch keep the
+// line<->port mapping a bijection, their awake cards are exactly the cards
+// an active line terminates on, and KSwitch keeps lines within their
+// switch's slot; FullSwitch's awake cards are exactly the prefix
+// [0, ceil(active/PortsPerCard)). The 5x7 shelf carries 33 lines, so the
+// active lines do not always fill whole cards and some ports stay unwired.
+func TestPolicyInvariantsProperty(t *testing.T) {
+	odd := dsl.DSLAM{Cards: 5, PortsPerCard: 7}
+	oddPorts, err := dsl.RandomAssignment(odd, 33, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		d       dsl.DSLAM
+		k       int
+		initial []int
+	}{
+		{dsl.EvalDSLAM, 4, seqPorts(48)},
+		{odd, 5, oddPorts},
+	} {
+		d, lines := tc.d, len(tc.initial)
+		f := func(ops []uint16) bool {
+			fixed, err1 := NewFixed(d, tc.initial)
+			ks, err2 := NewKSwitch(d, tc.k, tc.initial)
+			full, err3 := NewFullSwitch(d, lines)
+			if err1 != nil || err2 != nil || err3 != nil {
+				t.Fatal(err1, err2, err3)
+			}
+			active := make([]bool, lines)
+			for _, op := range ops {
+				line := int(op&0x7fff) % lines
+				wake := op&0x8000 == 0
+				active[line] = wake
+				for _, pol := range []Policy{fixed, ks, full} {
+					if wake {
+						pol.OnWake(line)
+					} else {
+						pol.OnSleep(line)
+					}
+				}
+				for _, b := range []*base{fixed.base, ks.base} {
+					if !portCardsMatch(b, active) {
+						return false
+					}
+				}
+				// KSwitch slot preservation: a line wired to slot s stays at slot s.
+				for l := range active {
+					if d.SlotOf(ks.portOf[l]) != d.SlotOf(tc.initial[l]) {
+						return false
+					}
+				}
+				n := countTrue(active)
+				want := (n + d.PortsPerCard - 1) / d.PortsPerCard
+				if full.activeN != n || full.AwakeCardCount() != want {
 					return false
 				}
-				seen[p] = true
+				for cd := 0; cd < d.Cards; cd++ {
+					if full.CardAwake(cd) != (cd < want) {
+						return false
+					}
+				}
 			}
+			return true
 		}
-		// KSwitch slot preservation: a line wired to slot s stays at slot s.
-		for line := 0; line < 48; line++ {
-			if d.SlotOf(ks.PortOf(line)) != d.SlotOf(initial[line]) {
-				return false
-			}
+		if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+			t.Errorf("%dx%d shelf: %v", d.Cards, d.PortsPerCard, err)
 		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+}
+
+// portCardsMatch reports whether b wires every line to its own valid port
+// (lineAt inverts portOf, so no two lines share one) and wakes exactly the
+// cards an active line terminates on.
+func portCardsMatch(b *base, active []bool) bool {
+	want := make([]bool, b.d.Cards)
+	for line, p := range b.portOf {
+		if p < 0 || p >= b.d.Ports() || b.lineAt[p] != line {
+			return false
+		}
+		if active[line] {
+			want[b.d.CardOf(p)] = true
+		}
 	}
+	for cd, w := range want {
+		if b.CardAwake(cd) != w {
+			return false
+		}
+	}
+	return b.AwakeCardCount() == countTrue(want)
 }
 
 // Monte Carlo packing matches Eq (2) (Fig 5's middle/right panels).
@@ -270,7 +368,7 @@ func TestKSwitchMatchesIdealPackingFreshWakes(t *testing.T) {
 				maxPerSwitch = c
 			}
 		}
-		if got := AwakeCount(s.CardsAwake()); got != maxPerSwitch {
+		if got := countTrue(awakeCards(s, d.Cards)); got != maxPerSwitch {
 			t.Fatalf("trial %d: awake cards %d, ideal %d", trial, got, maxPerSwitch)
 		}
 	}

@@ -299,15 +299,13 @@ func (s *sim) updateCards(fs *fabricState, t float64) {
 	if catalogue[fs.scheme].alwaysOn {
 		return
 	}
-	fs.cardBuf = fs.policy.CardsAwakeInto(fs.cardBuf)
-	for cd, a := range fs.cardBuf {
-		if a != fs.cardOn[cd] {
+	for cd, card := range fs.cards {
+		if a := fs.policy.CardAwake(cd); a != (card.State() == power.On) {
 			st := power.Sleeping
 			if a {
 				st = power.On
 			}
-			fs.cards[cd].SetState(t, st)
-			fs.cardOn[cd] = a
+			card.SetState(t, st)
 		}
 	}
 }

@@ -184,8 +184,8 @@ func TestCardFollowsLineState(t *testing.T) {
 	// gateways sleep, all cards sleep.
 	s := handSim(t, SoI, []trace.Flow{{Start: 100, Client: 0, Bytes: 750000}}, nil)
 	s.run()
-	for cd, on := range s.fabrics[0].cardOn {
-		if on {
+	for cd, card := range s.fabrics[0].cards {
+		if card.State() != power.Sleeping {
 			t.Errorf("card %d still on at end", cd)
 		}
 	}

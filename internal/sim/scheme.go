@@ -125,7 +125,7 @@ func (f fabric) build(cfg Config, portOf []int) (kswitch.Policy, error) {
 	case kSwitchFabric:
 		return kswitch.NewKSwitch(cfg.DSLAM, cfg.K, portOf)
 	case fullSwitchFabric:
-		return kswitch.NewFullSwitch(cfg.DSLAM, portOf)
+		return kswitch.NewFullSwitch(cfg.DSLAM, len(portOf))
 	default:
 		return kswitch.NewFixed(cfg.DSLAM, portOf)
 	}

@@ -5,15 +5,12 @@ package sim
 // It anchors the savings comparisons of Figs 6-8 and the headline numbers.
 type noSleepScheme struct{ baseScheme }
 
-// postInit marks every line active so cards and modems never sleep. Under
-// a quotient run that is every full-scenario line (via applyLineOp's
-// mirror fan-out), not just the simulated representatives. No-sleep has
-// no siblings: its fabric is fabrics[0].
+// postInit marks every line active. Under a quotient run that is every
+// full-scenario line (via applyLineOp's mirror fan-out), not just the
+// simulated representatives. The cards start On and, the row being
+// alwaysOn, updateCards never puts them to sleep.
 func (noSleepScheme) postInit(s *sim) {
 	for g := range s.gws {
 		s.applyLineOp(g, true, 0)
-	}
-	for cd := range s.fabrics[0].cardOn {
-		s.fabrics[0].cardOn[cd] = true
 	}
 }

@@ -131,7 +131,6 @@ func (sc optimalScheme) onResolve(s *sim) {
 		sc.closeGateway(s, g)
 	}
 	// Optimal has no siblings: its fabric is fabrics[0].
-	s.fabrics[0].policy.Repack()
 	s.updateCards(&s.fabrics[0], s.now)
 }
 

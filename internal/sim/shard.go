@@ -171,18 +171,13 @@ func (s *sim) applyLineOp(gw int, wake bool, t float64) {
 	for i := range s.fabrics {
 		fs := &s.fabrics[i]
 		for _, line := range lines {
-			fs.lineOp(int(line), wake)
+			if wake {
+				fs.policy.OnWake(int(line))
+			} else {
+				fs.policy.OnSleep(int(line))
+			}
 		}
 		s.updateCards(fs, t)
-	}
-}
-
-// lineOp tells the fabric's switch policy that a line went active or idle.
-func (fs *fabricState) lineOp(line int, wake bool) {
-	if wake {
-		fs.policy.OnWake(line)
-	} else {
-		fs.policy.OnSleep(line)
 	}
 }
 

@@ -252,11 +252,9 @@ type sim struct {
 // dynamics, so schemes with one gateway side (GatewaySide) can share a
 // run, each fabric replaying the same line wake/sleep sequence.
 type fabricState struct {
-	scheme  Scheme
-	policy  kswitch.Policy
-	cards   []*power.Device
-	cardOn  []bool
-	cardBuf []bool // reusable CardsAwakeInto scratch
+	scheme Scheme
+	policy kswitch.Policy
+	cards  []*power.Device
 
 	powerTS, ispTS, cardTS *stats.TimeSeries
 }
@@ -340,10 +338,8 @@ func newSim(cfg Config) (*sim, error) {
 			return nil, err
 		}
 		fs.cards = make([]*power.Device, cfg.DSLAM.Cards)
-		fs.cardOn = make([]bool, cfg.DSLAM.Cards)
 		for cd := range fs.cards {
 			fs.cards[cd] = power.NewDevice(fmt.Sprintf("card%d", cd), power.LineCardWatts, initState, 0)
-			fs.cardOn[cd] = initState == power.On
 		}
 		fs.powerTS = stats.NewTimeSeries(0, end, bins)
 		fs.ispTS = stats.NewTimeSeries(0, end, bins)

@@ -43,7 +43,7 @@ func ReadFlowsCSV(rd io.Reader, cfg Config, clientAP []int) (*Trace, error) {
 		if f.Start, err = strconv.ParseFloat(rec[0], 64); err != nil {
 			return nil, fmt.Errorf("trace: CSV line %d start: %w", line, err)
 		}
-		c, err := strconv.Atoi(rec[1])
+		c, err := strconv.ParseInt(rec[1], 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("trace: CSV line %d client: %w", line, err)
 		}
@@ -67,7 +67,9 @@ func ReadFlowsCSV(rd io.Reader, cfg Config, clientAP []int) (*Trace, error) {
 }
 
 // WriteFlowsCSV writes the flow records as CSV with a header row:
-// start,client,bytes,rate,up. Useful for external plotting.
+// start,client,bytes,rate,up. This is the replay format ReadFlowsCSV
+// reads: start times and rates are written in the shortest form that
+// parses back to the same float64, so a written trace replays exactly.
 func (tr *Trace) WriteFlowsCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"start", "client", "bytes", "rate", "up"}); err != nil {
@@ -75,10 +77,10 @@ func (tr *Trace) WriteFlowsCSV(w io.Writer) error {
 	}
 	rec := make([]string, 5)
 	for _, f := range tr.Flows {
-		rec[0] = strconv.FormatFloat(f.Start, 'f', 3, 64)
+		rec[0] = strconv.FormatFloat(f.Start, 'g', -1, 64)
 		rec[1] = strconv.Itoa(int(f.Client))
 		rec[2] = strconv.FormatInt(f.Bytes, 10)
-		rec[3] = strconv.FormatFloat(f.Rate, 'f', 0, 64)
+		rec[3] = strconv.FormatFloat(f.Rate, 'g', -1, 64)
 		rec[4] = strconv.FormatBool(f.Up)
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -23,12 +24,11 @@ func TestReadFlowsCSVRoundTrip(t *testing.T) {
 	if len(got.Flows) != len(tr.Flows) {
 		t.Fatalf("%d flows, want %d", len(got.Flows), len(tr.Flows))
 	}
-	for i := range tr.Flows {
-		a, b := tr.Flows[i], got.Flows[i]
-		// CSV keeps 3 decimals of start time and whole-number rate.
-		if diff := a.Start - b.Start; diff > 0.001 || diff < -0.001 || a.Client != b.Client ||
-			a.Bytes != b.Bytes || a.Up != b.Up {
-			t.Fatalf("flow %d: %+v vs %+v", i, a, b)
+	if !slices.Equal(got.Flows, tr.Flows) {
+		for i, a := range tr.Flows {
+			if b := got.Flows[i]; a != b {
+				t.Fatalf("flow %d: %+v vs %+v", i, a, b)
+			}
 		}
 	}
 }
@@ -51,6 +51,8 @@ func TestReadFlowsCSVRejectsBadInput(t *testing.T) {
 		"start,client,bytes,rate,up\n999999,0,1,0,false\n", // beyond duration
 		"start,client,bytes,rate,up\nNaN,0,1,0,false\n",    // NaN start
 		"start,client,bytes,rate,up\n1,0,1,NaN,false\n",    // NaN rate
+
+		"start,client,bytes,rate,up\n5,4294967297,10000,0,false\n", // client past int32 (would wrap to 1)
 	}
 	for i, in := range cases {
 		if _, err := ReadFlowsCSV(strings.NewReader(in), cfg, clientAP); err == nil {
