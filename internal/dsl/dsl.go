@@ -25,6 +25,9 @@ const (
 	// probability of sleeping right before a packet arrives is low (82% of
 	// gaps are under 60 s).
 	IdleTimeoutSeconds = 60.0
+	// TickSeconds is the simulator's metric tick: the width of every
+	// result series bin, and so the shortest duration a spec may ask for.
+	TickSeconds = 1.0
 )
 
 // AttenuationDBPerMeter converts cable length to signal attenuation: in

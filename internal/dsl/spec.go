@@ -279,6 +279,9 @@ func (s Spec) WithDefaults() (Spec, error) {
 	if s.Duration < 0 || math.IsNaN(s.Duration) {
 		return s, fmt.Errorf("dsl: negative duration %v", s.Duration)
 	}
+	if s.Duration < TickSeconds {
+		return s, fmt.Errorf("dsl: duration %v is shorter than the %v s metric tick", s.Duration, TickSeconds)
+	}
 	if s.IdleTimeout < 0 {
 		return s, fmt.Errorf("dsl: negative idle_timeout %v", s.IdleTimeout)
 	}
@@ -424,6 +427,9 @@ func (sw Sweep) validate() error {
 		}
 		if integer && v != math.Trunc(v) {
 			return fmt.Errorf("axis %q value %v must be a whole number", sw.Axis, v)
+		}
+		if sw.Axis == "duration" && v < TickSeconds {
+			return fmt.Errorf("axis %q value %v is shorter than the %v s metric tick", sw.Axis, v, TickSeconds)
 		}
 	}
 	return nil

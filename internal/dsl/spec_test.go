@@ -1,6 +1,7 @@
 package dsl
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -190,6 +191,24 @@ func errSpec(f func(*Spec)) Spec {
 	}
 	f(&s)
 	return s
+}
+
+// A run shorter than the engine's metric tick has no result bin, so the
+// spec rejects it, as a duration or a duration sweep value.
+func TestDurationAtLeastOneTick(t *testing.T) {
+	for _, tc := range []struct {
+		d  float64
+		ok bool
+	}{{0.5, false}, {math.Nextafter(TickSeconds, 0), false}, {TickSeconds, true}, {7200, true}} {
+		_, err := errSpec(func(s *Spec) { s.Duration = tc.d }).WithDefaults()
+		if (err == nil) != tc.ok {
+			t.Errorf("duration %v: error %v, want ok=%v", tc.d, err, tc.ok)
+		}
+		_, err = errSpec(func(s *Spec) { s.Sweeps = []Sweep{{Axis: "duration", Values: []float64{3600, tc.d}}} }).WithDefaults()
+		if (err == nil) != tc.ok {
+			t.Errorf("duration sweep value %v: error %v, want ok=%v", tc.d, err, tc.ok)
+		}
+	}
 }
 
 func TestSpecErrorPaths(t *testing.T) {

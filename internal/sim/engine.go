@@ -28,7 +28,7 @@ const cancelCheckEvery = 4096
 
 // tickSeconds is the metric tick: the sampling period of every Result
 // series and of the BH² load estimators.
-const tickSeconds = 1.0
+const tickSeconds = dsl.TickSeconds
 
 // resolveSeconds is the coordinated schemes' re-solve period: the paper's
 // oracle re-solves "every minute" (§5.1).

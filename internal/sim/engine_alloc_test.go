@@ -52,3 +52,24 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state event processing allocates %.2f times per event, want ~0", allocs)
 	}
 }
+
+// TestBH2ViewsAllocateNothing pins BH²'s decision input to one scratch
+// slice per run: once it has grown to a terminal's in-range set,
+// assembling what the terminal observes allocates nothing.
+func TestBH2ViewsAllocateNothing(t *testing.T) {
+	s := handSim(t, BH2KSwitch, nil, nil)
+	for i := 0; i < 30; i++ {
+		s.now += 1
+		s.tick()
+	}
+	var sc bh2Scheme
+	sc.views(s, 0)
+	allocs := testing.AllocsPerRun(100, func() {
+		if v := sc.views(s, 1); len(v) != len(s.cfg.Topo.InRange(1)) {
+			t.Fatalf("views of terminal 1: %d entries, want %d", len(v), len(s.cfg.Topo.InRange(1)))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("views allocates %.1f times per decision, want 0", allocs)
+	}
+}

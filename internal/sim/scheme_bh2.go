@@ -41,20 +41,20 @@ func (sc bh2Scheme) onDecide(s *sim, c int) {
 }
 
 // views assembles what terminal c can passively observe (§3.2): awake
-// gateways in range with their estimated loads.
+// gateways in range with their estimated loads. It reuses s.views, so the
+// slice is valid only until the next call.
 func (sc bh2Scheme) views(s *sim, c int) []bh2.GatewayView {
-	rng := s.cfg.Topo.InRange(c)
-	out := make([]bh2.GatewayView, 0, len(rng))
-	for _, gw := range rng {
+	s.views = s.views[:0]
+	for _, gw := range s.cfg.Topo.InRange(c) {
 		g := &s.gws[gw]
-		out = append(out, bh2.GatewayView{
+		s.views = append(s.views, bh2.GatewayView{
 			ID:     gw,
 			Awake:  g.ctl.State() == power.On,
 			Load:   g.est.Utilization(s.now, s.cfg.BH2.EstWindow),
 			Active: g.est.ActiveWithin(s.now, s.cfg.BH2.EstWindow),
 		})
 	}
-	return out
+	return s.views
 }
 
 func (sc bh2Scheme) decide(s *sim, c int) {

@@ -202,6 +202,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Topo.NumGateways < c.Trace.Cfg.APs {
 		return c, fmt.Errorf("sim: topology has %d gateways, trace needs %d", c.Topo.NumGateways, c.Trace.Cfg.APs)
 	}
+	// Every series needs at least one tick-wide bin; written so NaN fails.
+	if !(c.Trace.Cfg.Duration >= tickSeconds) {
+		return c, fmt.Errorf("sim: trace duration %v is shorter than the %v s metric tick", c.Trace.Cfg.Duration, tickSeconds)
+	}
 	if !c.Scheme.known() {
 		return c, fmt.Errorf("sim: unknown scheme %v", c.Scheme)
 	}
@@ -268,8 +272,10 @@ type Result struct {
 	Duration float64
 
 	// Per-time-bin series (one bin per simulated second, the engine's
-	// metric tick, averaged into hourly bins by the figure code). A
-	// collapsed run's series are already weighted to the full scenario.
+	// metric tick, averaged into hourly bins by the figure code). Each is
+	// a step function that costs its changes: the draws change only when
+	// a gateway or card wakes or sleeps. A collapsed run's series are
+	// already weighted to the full scenario.
 	PowerW      *stats.TimeSeries // total instantaneous draw
 	UserPowerW  *stats.TimeSeries // gateways only
 	ISPPowerW   *stats.TimeSeries // shelf + cards + port modems
@@ -361,15 +367,17 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return s.result(), nil
 }
 
-// MeanOver averages a result series over the time window [fromH, toH) hours.
+// MeanOver averages a result series over the time window [fromH, toH)
+// hours: the Welford mean of the bins whose midpoints fall in the window,
+// taken in bin order as the series walks its runs.
 func MeanOver(ts *stats.TimeSeries, fromH, toH float64) float64 {
 	var w stats.Welford
-	for i := 0; i < ts.Bins(); i++ {
+	ts.Each(func(i int, mean float64) {
 		t := ts.BinTime(i) / 3600
 		if t >= fromH && t < toH {
-			w.Add(ts.MeanAt(i))
+			w.Add(mean)
 		}
-	}
+	})
 	return w.Mean()
 }
 

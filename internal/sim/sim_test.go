@@ -83,6 +83,17 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("client-count mismatch accepted")
 	}
 	_ = tp
+	// A trace shorter than the metric tick has no result bin.
+	for _, d := range []float64{0.5, math.NaN()} {
+		short := &trace.Trace{Cfg: trace.Config{Clients: 2, APs: 1, Duration: d}, ClientAP: []int{0, 0}}
+		stp, err := topology.FromOverlap(&topology.Graph{Adj: [][]int{nil}}, short.ClientAP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(Config{Trace: short, Topo: stp, Scheme: SoI}); err == nil {
+			t.Errorf("a %v s trace accepted", d)
+		}
+	}
 }
 
 func TestNoSleepBaselinePower(t *testing.T) {

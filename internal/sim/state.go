@@ -218,6 +218,10 @@ type sim struct {
 	// terminal).
 	lastTraffic []float64
 
+	// views is BH²'s scratch for what a deciding terminal observes; each
+	// decision rebuilds it, since bh2.Decide keeps none of it.
+	views []bh2.GatewayView
+
 	decRNG  *rand.Rand
 	wakeRNG *rand.Rand
 

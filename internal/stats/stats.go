@@ -1,12 +1,14 @@
 // Package stats provides the small statistical toolkit used throughout the
 // insomnia reproduction: streaming moments, variable-width histograms,
-// empirical CDFs, quantiles and time-binned series. Everything is
-// deterministic and allocation-conscious; no third-party dependencies.
+// empirical CDFs, quantiles and time-binned series, which store a step
+// function and so cost their changes rather than their bins. Everything
+// is deterministic and allocation-conscious; no third-party dependencies.
 package stats
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -129,17 +131,40 @@ func Median(sample []float64) float64 { return Quantile(sample, 0.5) }
 // and reports per-bin means. It is the workhorse behind all the "X over the
 // day" figures.
 //
-// The engine samples once per bin, so per-bin counts are usually all 0 or
-// 1, and then a bin's mean is its sum: an empty bin's sum is +0, and
-// x/1 == x in IEEE 754. The series therefore keeps one bit per bin and
-// allocates counts only when some bin receives a second sample.
+// A series is stored as a step function: a set of change bins, each
+// starting a run of bins that share one mean, plus the open bin's sum and
+// count. The engine's series change only when a device wakes or sleeps,
+// so a day-long series costs its changes, not one float per bin. A bin's
+// mean is the plain one, bit for bit: its sum over its sample count, or +0
+// for an empty bin.
+//
+// Samples must arrive in bin order: Add panics on an in-range sample
+// earlier than the open bin, since a closed bin keeps only its mean.
+// Reads never mutate, so one series may be read from several goroutines
+// once its writer is done.
 type TimeSeries struct {
 	Start, End float64 // time range covered, seconds
 	binWidth   float64
-	sum        []float64
-	seen       []uint64 // bin i holds a sample; dropped once n exists
-	n          []int32  // per-bin sample counts; nil while every bin holds at most one
+	nbins      int
+
+	chg   []uint64    // bit i: bin i's mean differs bitwise from bin i-1's (bin 0 always)
+	rank  []int32     // rank[b]: runs that start before bin b*rankBlock
+	runs  [][]float64 // run means in chunks of runChunk; the list is sized up front
+	nruns int
+
+	open int     // the open bin: every earlier bin is closed
+	sum  float64 // the open bin's sum and sample count
+	n    int
+	last uint64 // bits of the last closed bin's mean
 }
+
+const (
+	// rankBlock bins share one rank entry, so MeanAt counts at most
+	// rankBlock/64 words of change bits.
+	rankBlock = 512
+	// runChunk run means are allocated at a time.
+	runChunk = 512
+)
 
 // NewTimeSeries bins [start,end) into nbins equal-width bins.
 func NewTimeSeries(start, end float64, nbins int) *TimeSeries {
@@ -149,40 +174,73 @@ func NewTimeSeries(start, end float64, nbins int) *TimeSeries {
 	return &TimeSeries{
 		Start: start, End: end,
 		binWidth: (end - start) / float64(nbins),
-		sum:      make([]float64, nbins),
-		seen:     make([]uint64, (nbins+63)/64),
+		nbins:    nbins,
+		chg:      make([]uint64, (nbins+63)/64),
+		rank:     make([]int32, (nbins+rankBlock-1)/rankBlock),
+		runs:     make([][]float64, 0, (nbins+runChunk-1)/runChunk),
 	}
 }
 
-// Add records value v at time t. Out-of-range samples are dropped.
+// Add records value v at time t. Out-of-range samples are dropped; an
+// in-range sample earlier than the open bin panics.
 func (ts *TimeSeries) Add(t, v float64) {
 	i := int((t - ts.Start) / ts.binWidth)
-	if i < 0 || i >= len(ts.sum) {
+	if i < 0 || i >= ts.nbins {
 		return
 	}
-	ts.sum[i] += v
-	if ts.n != nil {
-		ts.n[i]++
-		return
-	}
-	w, b := i/64, uint64(1)<<(i%64)
-	if ts.seen[w]&b == 0 {
-		ts.seen[w] |= b
-		return
-	}
-	// Bin i's second sample: switch to explicit counts.
-	ts.n = make([]int32, len(ts.sum))
-	for j := range ts.n {
-		if ts.seen[j/64]&(1<<(j%64)) != 0 {
-			ts.n[j] = 1
+	if i != ts.open {
+		if i < ts.open {
+			panic(fmt.Sprintf("stats: time series sample at t=%v (bin %d) before open bin %d", t, i, ts.open))
 		}
+		ts.closeUpTo(i)
 	}
-	ts.n[i]++
-	ts.seen = nil
+	ts.sum += v
+	ts.n++
+}
+
+// closeUpTo closes the open bin and the empty bins before bin j, which
+// becomes the open bin.
+func (ts *TimeSeries) closeUpTo(j int) {
+	for m := ts.openMean(); ts.open < j; ts.open++ {
+		ts.put(ts.open, m)
+		m = 0
+	}
+	ts.sum, ts.n = 0, 0
+}
+
+// put closes bin i with mean m, starting a run unless m's bits equal the
+// previous bin's.
+func (ts *TimeSeries) put(i int, m float64) {
+	if i%rankBlock == 0 {
+		ts.rank[i/rankBlock] = int32(ts.nruns)
+	}
+	b := math.Float64bits(m)
+	if b == ts.last && i > 0 {
+		return
+	}
+	ts.last = b
+	ts.chg[i/64] |= 1 << (i % 64)
+	if ts.nruns%runChunk == 0 {
+		// Runs never outnumber bins, so the last chunk needs only the rest.
+		ts.runs = append(ts.runs, make([]float64, min(runChunk, ts.nbins-ts.nruns)))
+	}
+	ts.runs[ts.nruns/runChunk][ts.nruns%runChunk] = m
+	ts.nruns++
+}
+
+// run returns the mean of run r.
+func (ts *TimeSeries) run(r int) float64 { return ts.runs[r/runChunk][r%runChunk] }
+
+// openMean returns the open bin's mean.
+func (ts *TimeSeries) openMean() float64 {
+	if ts.n == 0 {
+		return 0
+	}
+	return ts.sum / float64(ts.n)
 }
 
 // Bins returns the number of bins.
-func (ts *TimeSeries) Bins() int { return len(ts.sum) }
+func (ts *TimeSeries) Bins() int { return ts.nbins }
 
 // BinTime returns the midpoint time of bin i.
 func (ts *TimeSeries) BinTime(i int) float64 {
@@ -191,20 +249,43 @@ func (ts *TimeSeries) BinTime(i int) float64 {
 
 // MeanAt returns the mean of bin i (0 if empty).
 func (ts *TimeSeries) MeanAt(i int) float64 {
-	if ts.n == nil {
-		return ts.sum[i]
-	}
-	if ts.n[i] == 0 {
+	switch {
+	case i < 0 || i >= ts.nbins:
+		panic(fmt.Sprintf("stats: bin %d outside [0, %d)", i, ts.nbins))
+	case i > ts.open:
 		return 0
+	case i == ts.open:
+		return ts.openMean()
 	}
-	return ts.sum[i] / float64(ts.n[i])
+	// Runs that start at or before bin i: the block's rank plus the
+	// change bits from the block's start through bit i.
+	r := int(ts.rank[i/rankBlock])
+	for w := i / rankBlock * (rankBlock / 64); w < i/64; w++ {
+		r += bits.OnesCount64(ts.chg[w])
+	}
+	r += bits.OnesCount64(ts.chg[i/64] & (2<<(i%64) - 1))
+	return ts.run(r - 1)
+}
+
+// Each calls f with every bin's index and mean, in bin order.
+func (ts *TimeSeries) Each(f func(i int, mean float64)) {
+	r, m := -1, 0.0
+	for i := 0; i < ts.open; i++ {
+		if ts.chg[i/64]&(1<<(i%64)) != 0 {
+			r++
+			m = ts.run(r)
+		}
+		f(i, m)
+	}
+	f(ts.open, ts.openMean())
+	for i := ts.open + 1; i < ts.nbins; i++ {
+		f(i, 0)
+	}
 }
 
 // Means returns the per-bin means.
 func (ts *TimeSeries) Means() []float64 {
-	out := make([]float64, len(ts.sum))
-	for i := range out {
-		out[i] = ts.MeanAt(i)
-	}
+	out := make([]float64, ts.nbins)
+	ts.Each(func(i int, mean float64) { out[i] = mean })
 	return out
 }

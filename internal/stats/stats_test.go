@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +184,7 @@ func (r *countingSeries) meanAt(i int) float64 {
 func TestTimeSeriesMatchesCountingReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), -1.5}
+	type sample struct{ t, v float64 }
 	for trial := 0; trial < 300; trial++ {
 		nbins := 1 + rng.Intn(200)
 		start := float64(rng.Intn(100) - 50)
@@ -190,15 +192,17 @@ func TestTimeSeriesMatchesCountingReference(t *testing.T) {
 		ts := NewTimeSeries(start, end, nbins)
 		ref := &countingSeries{start: start, width: (end - start) / float64(nbins),
 			sum: make([]float64, nbins), n: make([]int, nbins)}
-		// Half the trials sample once per bin in time order, as the engine
-		// does, so the count-free path sees NaN and -0 too; the rest add
-		// out of order, repeat bins and stray outside the range.
+		// Half the trials sample once per bin, as the engine does, so
+		// single-sample bins see NaN and -0 too; the rest repeat bins,
+		// skip bins and stray outside the range. Samples are added in time
+		// order, which Add requires.
 		onePerBin := trial%2 == 0
 		adds := rng.Intn(3 * nbins)
 		if onePerBin {
 			adds = nbins
 		}
-		for k := 0; k < adds; k++ {
+		draws := make([]sample, adds)
+		for k := range draws {
 			tm := start + (float64(k)+0.5)*ref.width
 			if !onePerBin {
 				tm = start + (rng.Float64()*1.2-0.1)*(end-start)
@@ -207,13 +211,27 @@ func TestTimeSeriesMatchesCountingReference(t *testing.T) {
 			if rng.Intn(5) == 0 {
 				v = specials[rng.Intn(len(specials))]
 			}
-			ts.Add(tm, v)
-			ref.add(tm, v)
+			draws[k] = sample{tm, v}
 		}
-		if onePerBin && ts.n != nil {
-			t.Fatalf("trial %d: one sample per bin allocated counts", trial)
+		sort.SliceStable(draws, func(a, b int) bool { return draws[a].t < draws[b].t })
+		for _, d := range draws {
+			ts.Add(d.t, d.v)
+			ref.add(d.t, d.v)
 		}
 		means := ts.Means()
+		walked := 0
+		ts.Each(func(i int, mean float64) {
+			if i != walked {
+				t.Fatalf("trial %d: Each visited bin %d, want %d", trial, i, walked)
+			}
+			walked++
+			if got, want := math.Float64bits(mean), math.Float64bits(ref.meanAt(i)); got != want {
+				t.Fatalf("trial %d bin %d: Each bits %x, want %x", trial, i, got, want)
+			}
+		})
+		if walked != nbins {
+			t.Fatalf("trial %d: Each visited %d bins, want %d", trial, walked, nbins)
+		}
 		for i := 0; i < nbins; i++ {
 			want := math.Float64bits(ref.meanAt(i))
 			if got := math.Float64bits(ts.MeanAt(i)); got != want {
@@ -226,8 +244,9 @@ func TestTimeSeriesMatchesCountingReference(t *testing.T) {
 	}
 }
 
-// A day-long series sampled once per second must cost its sums plus one bit
-// per bin: no per-bin count slice.
+// A day-long series whose value changes every bin, the step form's worst
+// case, must cost at most the one float per bin a dense series would plus
+// one bit per bin.
 func TestTimeSeriesOneSamplePerBinAllocatesNoCounts(t *testing.T) {
 	const day = 86400
 	var before, after runtime.MemStats
@@ -237,13 +256,73 @@ func TestTimeSeriesOneSamplePerBinAllocatesNoCounts(t *testing.T) {
 		ts.Add(float64(i), float64(i%7))
 	}
 	runtime.ReadMemStats(&after)
-	// Sums and bits plus the allocator's size-class rounding; even an
+	// Means and bits plus the allocator's size-class rounding; even an
 	// int32 count per bin would add 337 KiB.
 	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(day*8+day/8+16<<10); got > max {
 		t.Errorf("allocated %d bytes, want at most %d", got, max)
 	}
-	if ts.n != nil || ts.MeanAt(day-1) != float64((day-1)%7) {
-		t.Errorf("counts allocated or wrong last mean %v", ts.MeanAt(day-1))
+	if ts.MeanAt(day-1) != float64((day-1)%7) {
+		t.Errorf("wrong last mean %v", ts.MeanAt(day-1))
+	}
+}
+
+// stepDay fills a day-long series at one sample per second with a value
+// that steps every period seconds.
+func stepDay(period int) *TimeSeries {
+	const day = 86400
+	ts := NewTimeSeries(0, day, day)
+	for i := 0; i < day; i++ {
+		ts.Add(float64(i), float64(i/period%5))
+	}
+	return ts
+}
+
+// A step signal costs its changes: a day whose value changes once a
+// minute holds 1,440 runs, not 86,400 bins.
+func TestTimeSeriesStepSignalCostsItsChanges(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ts := stepDay(60)
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, uint64(64<<10); got > max {
+		t.Errorf("allocated %d bytes, want at most %d", got, max)
+	}
+	for _, i := range []int{0, 59, 60, 61, 43199, 86339, 86340, 86399} {
+		if got, want := ts.MeanAt(i), float64(i/60%5); got != want {
+			t.Errorf("bin %d: mean %v, want %v", i, got, want)
+		}
+	}
+}
+
+// Samples must arrive in bin order: one before the open bin panics, while
+// out-of-range samples are still dropped.
+func TestTimeSeriesOutOfOrderPanics(t *testing.T) {
+	ts := NewTimeSeries(0, 10, 10)
+	ts.Add(5.5, 2)
+	ts.Add(5.9, 4) // the open bin may take more samples
+	ts.Add(-1, 999)
+	ts.Add(10, 999)
+	if got := ts.MeanAt(5); got != 3 {
+		t.Fatalf("open bin mean %v, want 3", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a sample before the open bin did not panic")
+		}
+	}()
+	ts.Add(4.5, 1)
+}
+
+var sinkSeriesMean float64
+
+// BenchmarkTimeSeriesDay adds a day of one-per-second samples of a signal
+// that steps every 37 s, then walks the result.
+func BenchmarkTimeSeriesDay(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var w Welford
+		stepDay(37).Each(func(_ int, mean float64) { w.Add(mean) })
+		sinkSeriesMean = w.Mean()
 	}
 }
 
